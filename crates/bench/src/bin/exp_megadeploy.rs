@@ -15,21 +15,21 @@
 //! The run asserts:
 //! * ≥ 3x speedup at 8 workers vs 1 worker (full mode only);
 //! * the wavefront result is differentially equal to the sequential
-//!   oracle (final driver states + running services) at every scale.
+//!   reference executor of `engage-testgen` (final driver states, action
+//!   sequences, running services, installed packages) at every scale.
 //!
 //! Run with: `cargo run --release -p engage-bench --bin exp_megadeploy
 //! [--smoke] [--metrics [FILE]] [--trace FILE]`
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use engage_bench::Reporter;
 use engage_deploy::{
-    generic_action, service_name, ActionCtx, Deployment, DeploymentEngine, DriverBinding,
-    DriverRegistry,
+    generic_action, ActionCtx, DeploymentEngine, DriverBinding, DriverRegistry, RetryPolicy,
 };
-use engage_model::{DriverState, InstallSpec, InstanceId, ResourceInstance, Universe, Value};
+use engage_model::{InstallSpec, ResourceInstance, Universe, Value};
 use engage_sim::{DownloadSource, Sim};
+use engage_testgen::{observe, Reference};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Cross-host dependency hubs: every HUB_SPAN-th service is a hub its
@@ -100,24 +100,6 @@ fn latency_registry() -> DriverRegistry {
         .bind("Mega 1.0", bind())
 }
 
-/// Final driver states plus running services — what the oracle and the
-/// wavefront runs must agree on.
-fn observe(spec: &InstallSpec, sim: &Sim, dep: &Deployment) -> BTreeMap<InstanceId, String> {
-    spec.iter()
-        .map(|inst| {
-            let state = dep
-                .state(inst.id())
-                .map(DriverState::to_string)
-                .unwrap_or_default();
-            let running = inst.inside_link().is_some()
-                && dep
-                    .host_of(inst.id())
-                    .is_some_and(|h| sim.service_running(h, &service_name(inst.key())));
-            (inst.id().clone(), format!("{state}/{running}"))
-        })
-        .collect()
-}
-
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let reporter = Reporter::from_args("megadeploy");
@@ -132,16 +114,22 @@ fn main() {
         if smoke { "smoke" } else { "full" }
     );
 
-    // Differential oracle: sequential engine, instant generic drivers.
-    let seq_engine = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &universe);
+    // Differential oracle: the sequential reference executor, instant
+    // generic drivers.
     let started = Instant::now();
-    let seq_dep = seq_engine.deploy(&spec).expect("sequential deploys");
+    let mut reference = Reference::provision(
+        &universe,
+        &spec,
+        Sim::new(DownloadSource::local_cache()),
+        RetryPolicy::none(),
+    );
+    reference.deploy().expect("the reference deploys");
+    let oracle = reference.observe();
     println!(
-        "sequential oracle: {} transitions in {:.2?} wall",
-        seq_dep.timeline().len(),
+        "reference oracle: {} transitions in {:.2?} wall",
+        oracle.sequences.values().map(Vec::len).sum::<usize>(),
         started.elapsed()
     );
-    let oracle = observe(&spec, seq_engine.sim(), &seq_dep);
 
     // Equality sweep: wavefront at every worker count, instant drivers.
     for workers in WORKER_COUNTS {
@@ -149,12 +137,12 @@ fn main() {
             .with_workers(workers);
         let outcome = engine.deploy_parallel(&spec).expect("wavefront deploys");
         let got = observe(&spec, engine.sim(), &outcome.deployment);
-        assert_eq!(
-            oracle, got,
-            "wavefront with {workers} workers diverged from the sequential oracle"
+        assert!(
+            oracle == got,
+            "wavefront with {workers} workers diverged from the reference oracle"
         );
     }
-    println!("wavefront == sequential oracle at workers {WORKER_COUNTS:?}");
+    println!("wavefront == reference oracle at workers {WORKER_COUNTS:?}");
 
     // Timed ladder with I/O-bound drivers (skipped in smoke mode: the
     // sleeps dominate CI time without changing the equality properties).

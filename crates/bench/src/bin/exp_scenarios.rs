@@ -8,9 +8,10 @@
 //!
 //! * generated size — resource types in the universe and instances in
 //!   the configured spec;
-//! * stage timings — serial plan and sequential deploy wall-clock;
+//! * stage timings — serial plan and one-worker deploy wall-clock;
 //! * the full differential check (`check_scenario`: three solver modes
-//!   × four schedulers × two fault settings, plus the reconfigure leg),
+//!   × four deploy executors × two fault settings, plus the reconfigure
+//!   leg),
 //!   which must pass at every scale.
 //!
 //! Gauges land in `BENCH_scenarios.json` as
@@ -89,7 +90,7 @@ fn main() {
             let s = scenario_with(family, SEED, knobs);
             let types = s.universe.len();
 
-            // Stage timings: the serial plan and one sequential deploy.
+            // Stage timings: the serial plan and one one-worker deploy.
             let t0 = Instant::now();
             let spec = ConfigEngine::new(&s.universe)
                 .configure(&s.partial)

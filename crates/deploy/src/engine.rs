@@ -2,14 +2,12 @@
 //! driver to `active` in dependency order, manages shutdown in reverse
 //! order, and integrates the process monitor.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use engage_model::{
-    topological_order, BasicState, DriverState, Guard, InstallSpec, InstanceId, StatePred, Universe,
-};
+use engage_model::{topological_order, BasicState, DriverState, InstallSpec, InstanceId, Universe};
 use engage_sim::{HostId, Monitor, Os, Sim};
 use engage_util::obs::Obs;
 
@@ -17,7 +15,7 @@ use crate::action::{service_name, ActionCtx, DriverRegistry};
 use crate::error::{DeployError, DeployFailure};
 use crate::journal::{parse_driver_state, parse_os, DeployJournal, JournalRecord};
 use crate::retry::RetryPolicy;
-use crate::schedule::SchedulerStrategy;
+use crate::schedule::{build_dag, execute_wavefront, Targets};
 
 /// How an interrupted deployment's journal is brought back to life by
 /// [`DeploymentEngine::resume`].
@@ -276,27 +274,11 @@ pub struct DeploymentEngine<'a> {
     registry: DriverRegistry,
     mode: ProvisionMode,
     obs: Obs,
-    guard_timeout: Duration,
     retry: RetryPolicy,
     journal: Option<DeployJournal>,
     rollback_on_failure: bool,
     kill: Option<Arc<KillSwitch>>,
-    /// Teardown-guard relaxation, used only while rolling back a partial
-    /// deployment: a guard asking for `inactive` also accepts
-    /// `uninstalled` (the dependent is *more* stopped than required —
-    /// exact-state matching would wedge the rollback of a stack whose
-    /// lower layers never got installed).
-    relaxed_guards: bool,
-    strategy: SchedulerStrategy,
     workers: Option<usize>,
-    /// Global progress epoch: bumped on every committed transition and
-    /// every retry-backoff simulated-clock advance. Legacy slaves use it
-    /// to make their wall-clock guard deadlines progress-aware — a guard
-    /// wait only times out after `guard_timeout` with *no* global
-    /// progress, so one host's heavy retry backoff (which advances the
-    /// simulated clock, not the wall clock) cannot spuriously trip
-    /// `GuardFailed` on another.
-    progress: Arc<AtomicU64>,
 }
 
 impl<'a> DeploymentEngine<'a> {
@@ -308,15 +290,11 @@ impl<'a> DeploymentEngine<'a> {
             registry: DriverRegistry::new(),
             mode: ProvisionMode::Local,
             obs: Obs::disabled(),
-            guard_timeout: crate::parallel::GUARD_TIMEOUT,
             retry: RetryPolicy::none(),
             journal: None,
             rollback_on_failure: false,
             kill: None,
-            relaxed_guards: false,
-            strategy: SchedulerStrategy::default(),
             workers: None,
-            progress: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -341,19 +319,10 @@ impl<'a> DeploymentEngine<'a> {
         self
     }
 
-    /// Overrides how long a parallel slave waits for a cross-host guard
-    /// before declaring the deployment stuck (builder-style; default
-    /// 30 s). Tests use short timeouts to exercise the wedged path.
-    pub fn with_guard_timeout(mut self, timeout: Duration) -> Self {
-        self.guard_timeout = timeout;
-        self
-    }
-
     /// Applies a [`RetryPolicy`] to every driver transition
     /// (builder-style; default: one attempt, no retries). Transient
     /// failures are retried with seeded exponential backoff; the waits
-    /// advance the *simulated* clock, so they cost no host wall-clock
-    /// and do not eat into the parallel guard timeout.
+    /// advance the *simulated* clock, so they cost no host wall-clock.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -385,18 +354,10 @@ impl<'a> DeploymentEngine<'a> {
         self
     }
 
-    /// Selects the parallel scheduler (builder-style; default
-    /// [`SchedulerStrategy::Wavefront`]). The legacy
-    /// [`SchedulerStrategy::Slaves`] engine is kept as a differential
-    /// oracle.
-    pub fn with_scheduler(mut self, strategy: SchedulerStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
-    /// Overrides the wavefront scheduler's worker count (builder-style;
-    /// default: one worker per machine, capped at 8). Ignored by the
-    /// legacy slave engine, which always runs one slave per machine.
+    /// Overrides the transition DAG executor's worker count for every
+    /// operation (builder-style). By default the parallel deploy and
+    /// reconcile repairs use one worker per machine, capped at 8, and
+    /// every other operation runs on the caller's thread alone.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -420,21 +381,12 @@ impl<'a> DeploymentEngine<'a> {
         &self.obs
     }
 
-    pub(crate) fn guard_timeout(&self) -> Duration {
-        self.guard_timeout
-    }
-
-    pub(crate) fn strategy(&self) -> SchedulerStrategy {
-        self.strategy
-    }
-
-    pub(crate) fn workers(&self) -> Option<usize> {
-        self.workers
-    }
-
-    /// The global progress epoch (see the field's docs).
-    pub(crate) fn progress_epoch(&self) -> &Arc<AtomicU64> {
-        &self.progress
+    /// The worker count for an operation: the [`with_workers`] override,
+    /// else `default`.
+    ///
+    /// [`with_workers`]: DeploymentEngine::with_workers
+    pub(crate) fn workers_or(&self, default: usize) -> usize {
+        self.workers.unwrap_or(default)
     }
 
     /// The simulated data center.
@@ -479,25 +431,38 @@ impl<'a> DeploymentEngine<'a> {
         let _span = self
             .obs
             .span_with("deploy.deploy", &[("instances", &spec.len().to_string())]);
-        let machines = self.provision_machines(spec).map_err(|error| {
-            Box::new(DeployFailure {
-                error,
-                completed: Vec::new(),
-                states: BTreeMap::new(),
-                rolled_back: None,
-            })
-        })?;
-        let mut dep = Deployment {
+        let mut dep = self.provision(spec);
+        let result = self.activate_all(&mut dep);
+        self.settle(dep, result)
+    }
+
+    /// Provisions every machine of `spec` into a fresh deployment with
+    /// every driver `uninstalled`.
+    pub(crate) fn provision(&self, spec: &InstallSpec) -> Deployment {
+        Deployment {
             spec: spec.clone(),
             states: spec
                 .iter()
                 .map(|i| (i.id().clone(), DriverState::Basic(BasicState::Uninstalled)))
                 .collect(),
-            machines,
+            machines: spec
+                .iter()
+                .filter(|inst| inst.inside_link().is_none())
+                .map(|inst| (inst.id().clone(), self.provision_one(inst)))
+                .collect(),
             timeline: Vec::new(),
             monitor: Monitor::new(),
-        };
-        match self.activate_all(&mut dep) {
+        }
+    }
+
+    /// Finishes a deploy: registers the running services, or builds the
+    /// failure report when `result` is an error.
+    pub(crate) fn settle(
+        &self,
+        mut dep: Deployment,
+        result: Result<(), DeployError>,
+    ) -> Result<Deployment, Box<DeployFailure>> {
+        match result {
             Ok(()) => {
                 self.register_services(&mut dep);
                 Ok(dep)
@@ -507,9 +472,8 @@ impl<'a> DeploymentEngine<'a> {
     }
 
     /// Builds the failure report for a partial deployment, running the
-    /// automatic rollback when enabled (shared by the sequential and
-    /// parallel paths).
-    pub(crate) fn recover(&self, mut dep: Deployment, error: DeployError) -> Box<DeployFailure> {
+    /// automatic rollback when enabled.
+    fn recover(&self, mut dep: Deployment, error: DeployError) -> Box<DeployFailure> {
         let completed = dep.timeline.clone();
         let states = dep.states.clone();
         let rolled_back =
@@ -527,59 +491,55 @@ impl<'a> DeploymentEngine<'a> {
     }
 
     /// Drives every instance of a partial deployment back to
-    /// `uninstalled` in reverse dependency order (the journal-powered
-    /// automatic rollback). Best-effort: returns whether every instance
-    /// ended clean. Retries still apply; the kill switch does not (a
-    /// rollback must not die at the kill-point that just fired).
-    pub(crate) fn rollback_partial(&self, dep: &mut Deployment) -> bool {
+    /// `uninstalled` (the journal-powered automatic rollback). Returns
+    /// whether every instance ended clean.
+    fn rollback_partial(&self, dep: &mut Deployment) -> bool {
         self.obs.counter("deploy.rollbacks").incr();
-        let quiet = DeploymentEngine {
-            kill: None,
-            relaxed_guards: true,
-            ..self.clone()
-        };
-        let Some(order) = topological_order(&dep.spec) else {
-            return false;
-        };
-        let mut clean = true;
-        // Two phases, like `uninstall_all`: stop whatever is running in
-        // reverse dependency order, then uninstall in reverse order —
-        // skipping instances the failure left uninstalled.
-        for id in order.iter().rev() {
-            if dep.states[id] == DriverState::Basic(BasicState::Active)
-                && quiet.drive_to(dep, id, BasicState::Inactive).is_err()
-            {
-                clean = false;
-            }
-        }
-        for id in order.iter().rev() {
-            if dep.states[id] != DriverState::Basic(BasicState::Uninstalled)
-                && quiet.drive_to(dep, id, BasicState::Uninstalled).is_err()
-            {
-                clean = false;
-            }
-        }
-        clean
+        self.teardown(dep, &|_| true)
             && dep
                 .states
                 .values()
                 .all(|s| s == &DriverState::Basic(BasicState::Uninstalled))
     }
 
-    /// Clones the engine with teardown semantics: no kill switch and
-    /// relaxed guards — the same quiet configuration `rollback_partial`
-    /// uses. The reconciler tears orphaned instances down through this.
-    pub(crate) fn teardown_clone(&self) -> DeploymentEngine<'a> {
-        DeploymentEngine {
+    /// Best-effort teardown of the instances `pick` selects: one run to
+    /// `uninstalled`, in reverse dependency order by the stop guards.
+    /// Retries still apply; the kill switch does not (a teardown must not
+    /// die at the kill-point that just fired). An instance whose
+    /// teardown is statically impossible stays where it is, and so does
+    /// everything waiting on it; the rest still goes. Returns whether
+    /// every picked instance was torn down without error. Rollback and
+    /// the reconciler's orphan cleanup run through this.
+    pub(crate) fn teardown(
+        &self,
+        dep: &mut Deployment,
+        pick: &dyn Fn(&InstanceId) -> bool,
+    ) -> bool {
+        let quiet = DeploymentEngine {
             kill: None,
-            relaxed_guards: true,
             ..self.clone()
+        };
+        let mut stuck: BTreeSet<InstanceId> = BTreeSet::new();
+        loop {
+            let targets = |id: &InstanceId| {
+                (pick(id) && !stuck.contains(id)).then_some(BasicState::Uninstalled)
+            };
+            // A static error means nothing ran: set the instance aside
+            // and compile again (each round sets one more aside).
+            match quiet.drive(dep, &targets, self.workers_or(1)) {
+                Err(
+                    DeployError::GuardFailed { instance, .. }
+                    | DeployError::NoPath { instance, .. },
+                ) => {
+                    stuck.insert(instance);
+                }
+                result => return result.is_ok() && stuck.is_empty(),
+            }
         }
     }
 
     /// Registers every running service with the monitor (the monit
-    /// plugin's post-deploy configuration generation, §5.2). Shared by
-    /// the sequential, parallel, and resume paths.
+    /// plugin's post-deploy configuration generation, §5.2).
     pub(crate) fn register_services(&self, dep: &mut Deployment) {
         for inst in dep.spec.iter() {
             let Some(host) = dep.host_of(inst.id()) else {
@@ -756,34 +716,19 @@ impl<'a> DeploymentEngine<'a> {
     ///
     /// Pathing, guard, or action failures.
     pub fn activate_all(&self, dep: &mut Deployment) -> Result<(), DeployError> {
-        let order = topological_order(&dep.spec).ok_or(DeployError::Model(
-            engage_model::ModelError::SpecError {
-                detail: "instance dependency graph has a cycle".into(),
-            },
-        ))?;
-        for id in &order {
-            self.drive_to(dep, id, BasicState::Active)?;
-        }
-        Ok(())
+        self.drive(dep, &|_| Some(BasicState::Active), self.workers_or(1))
     }
 
     /// Stops the whole stack: drives every instance to `inactive` in
     /// *reverse* dependency order ("shutting down an application goes in
-    /// the reverse dependency order", §5.2).
+    /// the reverse dependency order", §5.2) — the order the `↓inactive`
+    /// stop guards impose.
     ///
     /// # Errors
     ///
     /// Pathing, guard, or action failures.
     pub fn stop_all(&self, dep: &mut Deployment) -> Result<(), DeployError> {
-        let order = topological_order(&dep.spec).ok_or(DeployError::Model(
-            engage_model::ModelError::SpecError {
-                detail: "instance dependency graph has a cycle".into(),
-            },
-        ))?;
-        for id in order.iter().rev() {
-            self.drive_to(dep, id, BasicState::Inactive)?;
-        }
-        Ok(())
+        self.drive(dep, &|_| Some(BasicState::Inactive), self.workers_or(1))
     }
 
     /// Uninstalls the whole stack (reverse dependency order).
@@ -792,12 +737,7 @@ impl<'a> DeploymentEngine<'a> {
     ///
     /// Pathing, guard, or action failures.
     pub fn uninstall_all(&self, dep: &mut Deployment) -> Result<(), DeployError> {
-        self.stop_all(dep)?;
-        let order = topological_order(&dep.spec).expect("checked in stop_all");
-        for id in order.iter().rev() {
-            self.drive_to(dep, id, BasicState::Uninstalled)?;
-        }
-        Ok(())
+        self.drive(dep, &|_| Some(BasicState::Uninstalled), self.workers_or(1))
     }
 
     /// Drives one instance's driver to a basic state, firing guarded
@@ -805,73 +745,44 @@ impl<'a> DeploymentEngine<'a> {
     ///
     /// # Errors
     ///
+    /// [`DeployError::UnknownInstance`] if `id` is not in the spec,
     /// [`DeployError::NoPath`] if the driver cannot reach the state,
-    /// [`DeployError::GuardFailed`] if a guard does not hold when needed,
-    /// or the action's own failure.
+    /// [`DeployError::GuardFailed`] if a guard cannot hold over the other
+    /// instances' current states, or the action's own failure.
     pub fn drive_to(
         &self,
         dep: &mut Deployment,
         id: &InstanceId,
         target: BasicState,
     ) -> Result<(), DeployError> {
-        let inst = dep
-            .spec
-            .get(id)
-            .ok_or_else(|| DeployError::UnknownInstance {
+        if dep.spec.get(id).is_none() {
+            return Err(DeployError::UnknownInstance {
                 instance: id.clone(),
-            })?
-            .clone();
-        let driver = self.universe.effective_driver(inst.key())?;
-        let current = dep.states[id].clone();
-        let target_state = DriverState::Basic(target);
-        if current == target_state {
-            return Ok(());
-        }
-        // BFS for the shortest action path.
-        let path =
-            find_path(&driver, &current, &target_state).ok_or_else(|| DeployError::NoPath {
-                instance: id.clone(),
-                from: current.to_string(),
-                to: target_state.to_string(),
-            })?;
-        let host = dep.host_of(id).ok_or_else(|| DeployError::NoMachine {
-            instance: id.clone(),
-        })?;
-        for (action, to) in path {
-            if let Some(kill) = &self.kill {
-                kill.check()?;
-            }
-            let guard = driver
-                .transition(&dep.states[id], &action)
-                .expect("path transitions exist")
-                .guard()
-                .clone();
-            if !self.guard_holds(dep, id, &guard) {
-                return Err(DeployError::GuardFailed {
-                    instance: id.clone(),
-                    action,
-                    guard: guard.to_string(),
-                });
-            }
-            let start = self.sim.now();
-            let ctx = ActionCtx {
-                sim: &self.sim,
-                host,
-                instance: &inst,
-            };
-            self.run_action(&ctx, id, &action)?;
-            let end = self.sim.now();
-            self.record_transition(id, &action, &dep.states[id], &to);
-            self.commit_transition(id, &action, &dep.states[id], &to, start, end);
-            dep.timeline.push(TimelineEntry {
-                instance: id.clone(),
-                action,
-                start,
-                end,
             });
-            dep.states.insert(id.clone(), to);
         }
-        Ok(())
+        self.drive(dep, &|i| (i == id).then_some(target), self.workers_or(1))
+    }
+
+    /// Runs one operation: compiles `targets` over the deployment's
+    /// current states into a transition DAG and executes it on `workers`
+    /// workers. The executed prefix lands in `dep` even on failure.
+    pub(crate) fn drive(
+        &self,
+        dep: &mut Deployment,
+        targets: Targets<'_>,
+        workers: usize,
+    ) -> Result<(), DeployError> {
+        let dag = build_dag(self.universe, &dep.spec, &dep.states, targets)?;
+        let run = execute_wavefront(
+            self,
+            &dep.spec,
+            &dep.machines,
+            &mut dep.states,
+            &dag,
+            workers,
+        );
+        dep.timeline.extend(run.timeline);
+        run.error.map_or(Ok(()), Err)
     }
 
     /// Runs one driver action under the engine's retry policy: transient
@@ -914,7 +825,6 @@ impl<'a> DeploymentEngine<'a> {
                         );
                     }
                     self.sim.advance(wait);
-                    self.progress.fetch_add(1, Ordering::Release);
                     attempt += 1;
                 }
                 Err(e) => return Err(e),
@@ -922,8 +832,7 @@ impl<'a> DeploymentEngine<'a> {
         }
     }
 
-    /// Journals a committed transition and advances the kill switch
-    /// (shared by the sequential and parallel paths).
+    /// Journals a committed transition and advances the kill switch.
     pub(crate) fn commit_transition(
         &self,
         id: &InstanceId,
@@ -946,11 +855,10 @@ impl<'a> DeploymentEngine<'a> {
         if let Some(kill) = &self.kill {
             kill.on_commit();
         }
-        self.progress.fetch_add(1, Ordering::Release);
     }
 
-    /// Emits the `driver.transition` event shared by the sequential and
-    /// parallel paths, and bumps `deploy.transitions`.
+    /// Emits the `driver.transition` event and bumps
+    /// `deploy.transitions`.
     pub(crate) fn record_transition(
         &self,
         id: &InstanceId,
@@ -973,28 +881,6 @@ impl<'a> DeploymentEngine<'a> {
         self.obs.counter("deploy.transitions").incr();
     }
 
-    /// Evaluates a transition guard: `↑s` over the instances `id` links to,
-    /// `↓s` over the instances linking to `id`. Under rollback's relaxed
-    /// mode, a required `inactive` is also satisfied by `uninstalled`.
-    fn guard_holds(&self, dep: &Deployment, id: &InstanceId, guard: &Guard) -> bool {
-        let inst = dep.spec.get(id).expect("caller checked");
-        let matches = |actual: Option<&DriverState>, required: &BasicState| {
-            if actual == Some(&DriverState::Basic(*required)) {
-                return true;
-            }
-            self.relaxed_guards
-                && *required == BasicState::Inactive
-                && actual == Some(&DriverState::Basic(BasicState::Uninstalled))
-        };
-        guard.preds().iter().all(|p| match p {
-            StatePred::Upstream(s) => inst.links().all(|l| matches(dep.states.get(l), s)),
-            StatePred::Downstream(s) => dep
-                .spec
-                .dependents_of(id)
-                .all(|d| matches(dep.states.get(d.id()), s)),
-        })
-    }
-
     /// One monitoring cycle over the deployment's monitor.
     ///
     /// # Errors
@@ -1005,20 +891,6 @@ impl<'a> DeploymentEngine<'a> {
         dep: &mut Deployment,
     ) -> Result<Vec<engage_sim::RestartRecord>, DeployError> {
         Ok(dep.monitor.tick(&self.sim)?)
-    }
-
-    pub(crate) fn provision_machines(
-        &self,
-        spec: &InstallSpec,
-    ) -> Result<BTreeMap<InstanceId, HostId>, DeployError> {
-        let mut machines = BTreeMap::new();
-        for inst in spec.iter() {
-            if inst.inside_link().is_some() {
-                continue;
-            }
-            machines.insert(inst.id().clone(), self.provision_one(inst));
-        }
-        Ok(machines)
     }
 
     /// Provisions one machine instance and journals the mapping (also
@@ -1227,17 +1099,7 @@ mod tests {
         let (u, spec) = fixture();
         let e = engine(&u);
         // Manually drive the app before its dependencies are active.
-        let machines = e.provision_machines(&spec).unwrap();
-        let mut dep = Deployment {
-            spec: spec.clone(),
-            states: spec
-                .iter()
-                .map(|i| (i.id().clone(), DriverState::Basic(BasicState::Uninstalled)))
-                .collect(),
-            machines,
-            timeline: Vec::new(),
-            monitor: Monitor::new(),
-        };
+        let mut dep = e.provision(&spec);
         let err = e
             .drive_to(&mut dep, &"app".into(), BasicState::Active)
             .unwrap_err();

@@ -5,7 +5,8 @@
 //! registry** binding resource keys to action implementations (generic
 //! package/service actions by default), the **deployment engine** that
 //! provisions machines and drives every driver to `active` in dependency
-//! order (reverse order for shutdown), per-node spec splitting for
+//! order (reverse order for shutdown) — every lifecycle operation runs
+//! on one transition DAG executor — per-node spec splitting for
 //! master/slave multi-host installs, **monit**-style monitoring
 //! integration, and the **upgrade engine** with backup and automatic
 //! rollback.
@@ -78,5 +79,4 @@ pub use reconcile::{
     InstanceHealth, ReconcileLoop, ReconcileOptions, ReconcileRound, ReconcileStats,
 };
 pub use retry::RetryPolicy;
-pub use schedule::SchedulerStrategy;
 pub use upgrade::{plan_upgrade, ReplanInfo, UpgradePlanEntry, UpgradeReport, UpgradeStrategy};

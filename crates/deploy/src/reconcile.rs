@@ -521,7 +521,7 @@ impl<'a> ReconcileLoop<'a> {
             self.engine.universe(),
             &self.dep.spec,
             &repair_states,
-            BasicState::Active,
+            &|_| Some(BasicState::Active),
         )?;
         let actions = dag.len();
         obs.gauge("reconcile.delta_size").set(actions as i64);
@@ -530,24 +530,20 @@ impl<'a> ReconcileLoop<'a> {
         let error = if actions == 0 {
             None
         } else {
-            let workers = self
-                .engine
-                .workers()
-                .unwrap_or_else(|| self.dep.machines.len().clamp(1, 8));
+            let workers = self.engine.workers_or(self.dep.machines.len().clamp(1, 8));
             let run = execute_wavefront(
                 &self.engine,
                 &self.dep.spec,
                 &self.dep.machines,
-                &repair_states,
+                &mut repair_states,
                 &dag,
                 workers,
             );
             self.dep.timeline.extend(run.timeline);
-            let mut states = run.states;
             for id in &deferred {
-                states.insert(id.clone(), self.dep.states[id].clone());
+                repair_states.insert(id.clone(), self.dep.states[id].clone());
             }
-            self.dep.states = states;
+            self.dep.states = repair_states;
             run.error.map(|e| e.to_string())
         };
 
@@ -614,17 +610,11 @@ impl<'a> ReconcileLoop<'a> {
     }
 
     /// Best-effort teardown of instances the re-plan dropped: unwatch
-    /// their services and drive them to `uninstalled` (with teardown
-    /// guards relaxed, like rollback) where their host still lives.
+    /// their services and drive them to `uninstalled` (like rollback)
+    /// where their host still lives.
     fn teardown_orphans(&mut self, orphaned: &[InstanceId], dead_hosts: &BTreeSet<HostId>) {
-        let quiet = self.engine.teardown_clone();
-        let Some(order) = topological_order(&self.dep.spec) else {
-            return;
-        };
-        for id in order.iter().rev() {
-            if !orphaned.contains(id) {
-                continue;
-            }
+        let mut live = BTreeSet::new();
+        for id in orphaned {
             let Some(host) = self.dep.host_of(id) else {
                 continue;
             };
@@ -632,9 +622,10 @@ impl<'a> ReconcileLoop<'a> {
                 self.dep.monitor.unwatch(host, &service_name(inst.key()));
             }
             if !dead_hosts.contains(&host) {
-                let _ = quiet.drive_to(&mut self.dep, id, BasicState::Uninstalled);
+                live.insert(id.clone());
             }
         }
+        self.engine.teardown(&mut self.dep, &|id| live.contains(id));
     }
 }
 

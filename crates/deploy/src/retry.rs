@@ -11,9 +11,7 @@
 //! every robustness test is reproducible.
 //!
 //! Backoff waits advance the **simulated** clock, never a real sleep, so
-//! retries cost nothing in test wall-clock time and do not interact with
-//! the parallel executor's host-side guard timeouts (which watch real
-//! time).
+//! retries cost nothing in test wall-clock time.
 
 use std::time::Duration;
 

@@ -1,17 +1,23 @@
-//! The wavefront transition scheduler: a critical-path-aware DAG
-//! scheduler over *all* driver transitions of a deployment.
+//! The transition DAG executor: every lifecycle operation — deploy,
+//! resume, stop, uninstall, rollback, upgrade, reconcile repair, a
+//! single `drive_to` — compiles to one critical-path-aware DAG over the
+//! driver transitions it needs, executed by one work-stealing pool.
 //!
-//! Instead of one slave thread per machine blocking on condvar guard
-//! rescans (the legacy §5.2 engine, kept behind
-//! [`SchedulerStrategy::Slaves`] as a differential oracle), the whole
-//! deployment is compiled up front into an explicit **transition DAG**:
+//! An operation is a **target map**: each instance it moves gets a
+//! target basic state, and instances it leaves alone get no nodes. The
+//! map is compiled into an explicit **transition DAG**:
 //!
 //! * **nodes** are per-instance driver actions — the steps of each
-//!   driver's shortest path from its current state to the target state;
+//!   driver's shortest path from its current state to its target;
 //! * **edges** are the driver-order edges within one instance plus the
 //!   guard predicates, resolved statically: a guard `↑s` (or `↓s`)
-//!   becomes an edge from the linked instance's transition that *enters*
-//!   state `s`.
+//!   becomes an edge from the linked instance's first transition into a
+//!   state that satisfies `s`.
+//!
+//! There is no hand-written order. Deploying runs forwards through the
+//! `↑active` guards; shutting down "goes in the reverse dependency order"
+//! (§5.2) because every stop waits, through its `↓inactive` guard, for
+//! the dependents to stop first.
 //!
 //! The DAG is executed as topological wavefronts on a work-stealing pool
 //! built from the vendored MPMC channel: every node carries a
@@ -19,16 +25,21 @@
 //! successors with O(1) atomic decrements — no guard is ever re-scanned.
 //! Workers keep the released successor with the longest critical path as
 //! their own continuation (depth-first along the critical path) and
-//! publish the rest for idle workers to steal.
+//! publish the rest for idle workers to steal. The caller is worker 0,
+//! so a one-worker run spawns no thread.
 //!
-//! Guard cycles that would wedge the legacy engine until its timeout are
-//! rejected here in O(nodes + edges) before anything runs.
+//! Guards that can never hold — a required state no dependency reaches,
+//! or guard edges forming a cycle — are rejected in O(nodes + edges)
+//! before anything runs.
 //!
-//! The static guard resolution is *monotone*: it assumes a dependency
-//! that enters the required state stays acceptable for the waiter. For
-//! deployment to `active` with forward-moving drivers (the only use of
-//! this scheduler) the interpretation is exact, because `active` is
-//! terminal on every deploy path.
+//! The static guard resolution is *monotone*: a dependency that reaches
+//! an acceptable state is assumed to stay acceptable for the waiter.
+//! Deploy paths only move up (`uninstalled` → `inactive` → `active`) and
+//! teardown paths only move down, so each reading is exact for its
+//! direction. For a teardown transition, a dependency *at or beyond* the
+//! required state satisfies the guard: `uninstalled` ⊒ `inactive`, so a
+//! dependent that was never installed is stopped enough for a `↓inactive`
+//! guard.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -43,18 +54,10 @@ use crate::action::ActionCtx;
 use crate::engine::{find_path, DeploymentEngine, TimelineEntry};
 use crate::error::DeployError;
 
-/// Which engine executes a parallel deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerStrategy {
-    /// The critical-path-aware wavefront DAG scheduler (default):
-    /// transitions of *all* instances are scheduled globally on a
-    /// work-stealing pool, guards resolved as O(1) counter decrements.
-    #[default]
-    Wavefront,
-    /// The legacy §5.2 engine — one slave thread per machine, condvar
-    /// guard waits — kept as a differential oracle.
-    Slaves,
-}
+/// Where an operation drives each instance: `Some(target)` to move it,
+/// `None` to leave it where it is (it gets no DAG nodes, and guards over
+/// it read its current state).
+pub(crate) type Targets<'t> = &'t dyn Fn(&InstanceId) -> Option<BasicState>;
 
 /// The sentinel a worker interprets as "shut down".
 const STOP: u32 = u32::MAX;
@@ -105,22 +108,38 @@ fn add_edge(succs: &mut [Vec<u32>], indegree: &mut [u32], from: u32, to: u32) {
     indegree[to as usize] += 1;
 }
 
-/// Compiles a deployment into its transition DAG: per-instance driver
-/// paths from `states` to `target`, with guard predicates resolved into
-/// edges on the transitions that *enter* the required states.
+/// Whether a transition moves a driver down (`active` → `inactive` →
+/// `uninstalled`): the direction in which the teardown reading applies.
+fn is_teardown(from: &DriverState, to: &DriverState) -> bool {
+    matches!((from.as_basic(), to.as_basic()), (Some(f), Some(t)) if t < f)
+}
+
+/// The monotone guard reading: `state` satisfies a guard asking for
+/// `required` when it is that state — or, under a teardown transition,
+/// beyond it (`uninstalled` ⊒ `inactive`).
+fn satisfies(state: &DriverState, required: BasicState, teardown: bool) -> bool {
+    *state == DriverState::Basic(required)
+        || (teardown
+            && required == BasicState::Inactive
+            && *state == DriverState::Basic(BasicState::Uninstalled))
+}
+
+/// Compiles an operation into its transition DAG: per-instance driver
+/// paths from `states` to each instance's entry in `targets`, with guard
+/// predicates resolved into edges under the monotone reading (see the
+/// module docs).
 ///
 /// # Errors
 ///
-/// [`DeployError::NoPath`] when a driver cannot reach `target`, and
+/// [`DeployError::NoPath`] when a driver cannot reach its target, and
 /// [`DeployError::GuardFailed`] when a guard can be proven statically
-/// unsatisfiable — the required state is never entered, or the guard
-/// edges form a cycle (the wedged-deployment case the legacy engine only
-/// detects by timing out).
+/// unsatisfiable — no dependency state on the way satisfies it, or the
+/// guard edges form a cycle (a wedged operation).
 pub(crate) fn build_dag(
     universe: &Universe,
     spec: &InstallSpec,
     states: &BTreeMap<InstanceId, DriverState>,
-    target: BasicState,
+    targets: Targets<'_>,
 ) -> Result<TransitionDag, DeployError> {
     let insts: Vec<&ResourceInstance> = spec.iter().collect();
     let index: HashMap<&InstanceId, u32> = insts
@@ -139,13 +158,9 @@ pub(crate) fn build_dag(
         }
     }
 
-    let target_state = DriverState::Basic(target);
     let mut nodes: Vec<DagNode> = Vec::new();
     let mut guards: Vec<Guard> = Vec::new();
     let mut inst_nodes: Vec<Vec<u32>> = vec![Vec::new(); insts.len()];
-    // Per instance: which node *enters* each state along its path (the
-    // guard-edge anchors), and where the path starts.
-    let mut enters: Vec<HashMap<DriverState, u32>> = vec![HashMap::new(); insts.len()];
     let mut starts: Vec<DriverState> = Vec::with_capacity(insts.len());
     for (i, inst) in insts.iter().enumerate() {
         let current = states
@@ -153,6 +168,10 @@ pub(crate) fn build_dag(
             .cloned()
             .unwrap_or(DriverState::Basic(BasicState::Uninstalled));
         starts.push(current.clone());
+        let Some(target) = targets(inst.id()) else {
+            continue;
+        };
+        let target_state = DriverState::Basic(target);
         if current == target_state {
             continue;
         }
@@ -179,7 +198,6 @@ pub(crate) fn build_dag(
             });
             guards.push(guard);
             inst_nodes[i].push(id);
-            enters[i].insert(to.clone(), id);
             from = to;
         }
     }
@@ -197,17 +215,17 @@ pub(crate) fn build_dag(
     for (id, guard) in guards.iter().enumerate() {
         let node = &nodes[id];
         let inst = insts[node.inst as usize];
+        let teardown = is_teardown(&node.from, &node.to);
         let unsatisfiable = || DeployError::GuardFailed {
             instance: inst.id().clone(),
             action: node.action.clone(),
             guard: guard.to_string(),
         };
         for pred in guard.preds() {
-            let (required, deps): (&BasicState, Vec<u32>) = match pred {
+            let (required, deps): (BasicState, Vec<u32>) = match pred {
                 StatePred::Upstream(s) => {
                     // A link outside the spec can never satisfy the
-                    // guard — same verdict the legacy engines reach by
-                    // evaluating it at run time.
+                    // guard.
                     let mut linked = Vec::new();
                     for link in inst.links() {
                         match index.get(link) {
@@ -215,18 +233,24 @@ pub(crate) fn build_dag(
                             None => return Err(unsatisfiable()),
                         }
                     }
-                    (s, linked)
+                    (*s, linked)
                 }
-                StatePred::Downstream(s) => (s, reverse[node.inst as usize].clone()),
+                StatePred::Downstream(s) => (*s, reverse[node.inst as usize].clone()),
             };
-            let required = DriverState::Basic(*required);
             for dep in deps {
-                if let Some(&src) = enters[dep as usize].get(&required) {
-                    add_edge(&mut succs, &mut indegree, src, id as u32);
-                } else if starts[dep as usize] != required {
-                    // The dependency neither starts in nor ever enters
-                    // the required state: statically wedged.
-                    return Err(unsatisfiable());
+                let dep = dep as usize;
+                if satisfies(&starts[dep], required, teardown) {
+                    continue;
+                }
+                let first = inst_nodes[dep]
+                    .iter()
+                    .copied()
+                    .find(|&src| satisfies(&nodes[src as usize].to, required, teardown));
+                match first {
+                    Some(src) => add_edge(&mut succs, &mut indegree, src, id as u32),
+                    // The dependency neither starts in nor ever reaches
+                    // an acceptable state: statically wedged.
+                    None => return Err(unsatisfiable()),
                 }
             }
         }
@@ -251,8 +275,7 @@ pub(crate) fn build_dag(
         }
     }
     if topo.len() != n {
-        // A guard-edge cycle: the deployment the legacy engine only
-        // detects by wedging until its guard timeout.
+        // A guard-edge cycle: the transitions wait on each other.
         let wedged = (0..n).find(|&i| indeg[i] > 0).expect("cycle has nodes");
         return Err(DeployError::GuardFailed {
             instance: insts[nodes[wedged].inst as usize].id().clone(),
@@ -283,18 +306,19 @@ pub(crate) fn build_dag(
     })
 }
 
-/// What the wavefront pool produced: the merged timeline, the per-instance
-/// driver states reconstructed from the executed prefix of each driver
-/// path, and the first error (engine kills preferred, as in the legacy
-/// engine).
+/// What the pool produced: the merged timeline and the first error
+/// (engine kills preferred over the errors they cause elsewhere).
 pub(crate) struct WavefrontRun {
     pub(crate) timeline: Vec<TimelineEntry>,
-    pub(crate) states: BTreeMap<InstanceId, DriverState>,
     pub(crate) error: Option<DeployError>,
 }
 
-/// Executes a compiled transition DAG on `workers` work-stealing worker
-/// threads.
+/// Executes a compiled transition DAG on `workers` work-stealing
+/// workers — the only code that runs a lifecycle operation's driver
+/// actions (journal replay re-executes recorded history). The caller's thread
+/// is worker 0; `workers - 1` more are spawned. On return, `states`
+/// holds every driver's state after the furthest executed prefix of its
+/// path (under failure, that is the partial deployment).
 ///
 /// Each worker owns a deque: it pushes released successors to the back
 /// and pops from the back (depth-first along the critical path), while
@@ -306,7 +330,7 @@ pub(crate) fn execute_wavefront(
     engine: &DeploymentEngine<'_>,
     spec: &InstallSpec,
     machines: &BTreeMap<InstanceId, HostId>,
-    start_states: &BTreeMap<InstanceId, DriverState>,
+    states: &mut BTreeMap<InstanceId, DriverState>,
     dag: &TransitionDag,
     workers: usize,
 ) -> WavefrontRun {
@@ -324,7 +348,6 @@ pub(crate) fn execute_wavefront(
     if dag.nodes.is_empty() {
         return WavefrontRun {
             timeline: Vec::new(),
-            states: start_states.clone(),
             error: None,
         };
     }
@@ -390,141 +413,127 @@ pub(crate) fn execute_wavefront(
         })
     };
 
-    let mut timeline: Vec<TimelineEntry> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|me| {
-                let rx = rx.clone();
-                let tx = tx.clone();
-                let deques = &deques;
-                let pending = &pending;
-                let executed = &executed;
-                let remaining = &remaining;
-                let idle = &idle;
-                let failed = &failed;
-                let errors = &errors;
-                let steals = &steals;
-                let ready_count = &ready_count;
-                let ready_peak = &ready_peak;
-                let run_node = &run_node;
-                scope.spawn(move || {
-                    let mut local: Vec<TimelineEntry> = Vec::new();
-                    // The released successor chosen as this worker's
-                    // next transition (depth-first on the critical path).
-                    let mut next: Option<u32> = None;
-                    loop {
-                        if failed.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let node_id = match next.take() {
-                            Some(n) => n,
-                            None => {
-                                // Own deque first (LIFO), then steal the
-                                // oldest work from a victim (FIFO).
-                                let mut found = deques[me].lock().pop_back();
-                                if found.is_none() {
-                                    for k in 1..workers {
-                                        let victim = (me + k) % workers;
-                                        found = deques[victim].lock().pop_front();
-                                        if found.is_some() {
-                                            steals.fetch_add(1, Ordering::Relaxed);
-                                            break;
-                                        }
-                                    }
-                                }
-                                match found {
-                                    Some(n) => n,
-                                    None => {
-                                        idle.fetch_add(1, Ordering::AcqRel);
-                                        let got = rx.recv();
-                                        idle.fetch_sub(1, Ordering::AcqRel);
-                                        match got {
-                                            Ok(STOP) | Err(_) => break,
-                                            Ok(n) => n,
-                                        }
-                                    }
-                                }
-                            }
-                        };
-                        ready_count.fetch_sub(1, Ordering::AcqRel);
-                        match run_node(node_id) {
-                            Ok(entry) => {
-                                local.push(entry);
-                                executed[node_id as usize].store(true, Ordering::Release);
-                                // O(1) guard resolution: decrement every
-                                // successor's pending counter; the last
-                                // decrement releases the transition.
-                                let mut ready: Vec<u32> = dag.succs[node_id as usize]
-                                    .iter()
-                                    .copied()
-                                    .filter(|&s| {
-                                        pending[s as usize].fetch_sub(1, Ordering::AcqRel) == 1
-                                    })
-                                    .collect();
-                                if !ready.is_empty() {
-                                    ready.sort_unstable_by_key(|&s| {
-                                        std::cmp::Reverse(dag.priority[s as usize])
-                                    });
-                                    let depth = ready_count
-                                        .fetch_add(ready.len(), Ordering::AcqRel)
-                                        + ready.len();
-                                    ready_peak.fetch_max(depth, Ordering::AcqRel);
-                                    let mut released = ready.into_iter();
-                                    next = released.next();
-                                    for s in released {
-                                        if idle.load(Ordering::Acquire) > 0 {
-                                            let _ = tx.send(s);
-                                        } else {
-                                            deques[me].lock().push_back(s);
-                                        }
-                                    }
-                                }
-                                if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                                    for _ in 0..workers {
-                                        let _ = tx.send(STOP);
-                                    }
-                                }
-                            }
-                            Err(e) => {
-                                errors.lock().push(e);
-                                failed.store(true, Ordering::Release);
-                                for _ in 0..workers {
-                                    let _ = tx.send(STOP);
-                                }
+    // One worker's loop; returns its executed transitions, tagged with
+    // their node ids.
+    let worker = |me: usize,
+                  rx: channel::Receiver<u32>,
+                  tx: channel::Sender<u32>|
+     -> Vec<(u32, TimelineEntry)> {
+        let mut local = Vec::new();
+        // The released successor chosen as this worker's next
+        // transition (depth-first on the critical path).
+        let mut next: Option<u32> = None;
+        loop {
+            if failed.load(Ordering::Acquire) {
+                break;
+            }
+            let node_id = match next.take() {
+                Some(n) => n,
+                None => {
+                    // Own deque first (LIFO), then steal the oldest work
+                    // from a victim (FIFO).
+                    let mut found = deques[me].lock().pop_back();
+                    if found.is_none() {
+                        for k in 1..workers {
+                            let victim = (me + k) % workers;
+                            found = deques[victim].lock().pop_front();
+                            if found.is_some() {
+                                steals.fetch_add(1, Ordering::Relaxed);
                                 break;
                             }
                         }
                     }
-                    local
-                })
+                    match found {
+                        Some(n) => n,
+                        None => {
+                            idle.fetch_add(1, Ordering::AcqRel);
+                            let got = rx.recv();
+                            idle.fetch_sub(1, Ordering::AcqRel);
+                            match got {
+                                Ok(STOP) | Err(_) => break,
+                                Ok(n) => n,
+                            }
+                        }
+                    }
+                }
+            };
+            ready_count.fetch_sub(1, Ordering::AcqRel);
+            match run_node(node_id) {
+                Ok(entry) => {
+                    local.push((node_id, entry));
+                    executed[node_id as usize].store(true, Ordering::Release);
+                    // O(1) guard resolution: decrement every successor's
+                    // pending counter; the last decrement releases the
+                    // transition.
+                    let mut ready: Vec<u32> = dag.succs[node_id as usize]
+                        .iter()
+                        .copied()
+                        .filter(|&s| pending[s as usize].fetch_sub(1, Ordering::AcqRel) == 1)
+                        .collect();
+                    if !ready.is_empty() {
+                        ready
+                            .sort_unstable_by_key(|&s| std::cmp::Reverse(dag.priority[s as usize]));
+                        let depth =
+                            ready_count.fetch_add(ready.len(), Ordering::AcqRel) + ready.len();
+                        ready_peak.fetch_max(depth, Ordering::AcqRel);
+                        let mut released = ready.into_iter();
+                        next = released.next();
+                        for s in released {
+                            if idle.load(Ordering::Acquire) > 0 {
+                                let _ = tx.send(s);
+                            } else {
+                                deques[me].lock().push_back(s);
+                            }
+                        }
+                    }
+                    if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
+                        for _ in 0..workers {
+                            let _ = tx.send(STOP);
+                        }
+                    }
+                }
+                Err(e) => {
+                    errors.lock().push(e);
+                    failed.store(true, Ordering::Release);
+                    for _ in 0..workers {
+                        let _ = tx.send(STOP);
+                    }
+                    break;
+                }
+            }
+        }
+        local
+    };
+
+    let mut tagged: Vec<(u32, TimelineEntry)> = std::thread::scope(|scope| {
+        let worker = &worker;
+        let handles: Vec<_> = (1..workers)
+            .map(|me| {
+                let (rx, tx) = (rx.clone(), tx.clone());
+                scope.spawn(move || worker(me, rx, tx))
             })
             .collect();
-        let mut merged = Vec::new();
+        let mut merged = worker(0, rx, tx);
         for h in handles {
             merged.extend(h.join().expect("worker panicked"));
         }
         merged
     });
-    timeline.sort_by_key(|t| (t.start, t.instance.clone()));
+    // Time order; a driver's own steps (ascending node ids) break ties.
+    tagged.sort_by(|(a, x), (b, y)| (x.start, &x.instance, a).cmp(&(y.start, &y.instance, b)));
 
     obs.counter("deploy.sched.steals")
         .add(steals.load(Ordering::Relaxed));
     obs.gauge("deploy.sched.ready_peak")
         .set_max(ready_peak.load(Ordering::Relaxed) as i64);
 
-    // Reconstruct every driver's state from the furthest executed prefix
-    // of its path (under failure, that is the partial deployment).
-    let mut states = start_states.clone();
     for (i, inst) in insts.iter().enumerate() {
-        let mut last = None;
-        for &nid in &dag.inst_nodes[i] {
-            if executed[nid as usize].load(Ordering::Acquire) {
-                last = Some(dag.nodes[nid as usize].to.clone());
-            } else {
-                break;
-            }
-        }
-        if let Some(state) = last {
-            states.insert(inst.id().clone(), state);
+        let last = dag.inst_nodes[i]
+            .iter()
+            .take_while(|&&nid| executed[nid as usize].load(Ordering::Acquire))
+            .last();
+        if let Some(&nid) = last {
+            states.insert(inst.id().clone(), dag.nodes[nid as usize].to.clone());
         }
     }
 
@@ -537,8 +546,7 @@ pub(crate) fn execute_wavefront(
         None => (!errs.is_empty()).then(|| errs.swap_remove(0)),
     };
     WavefrontRun {
-        timeline,
-        states,
+        timeline: tagged.into_iter().map(|(_, entry)| entry).collect(),
         error,
     }
 }
@@ -603,7 +611,7 @@ mod tests {
     fn dag_encodes_guards_as_edges() {
         let u = universe();
         let spec = spec();
-        let dag = build_dag(&u, &spec, &initial(&spec), BasicState::Active).unwrap();
+        let dag = build_dag(&u, &spec, &initial(&spec), &|_| Some(BasicState::Active)).unwrap();
         // server: install+start, db: install+start, app: install+start.
         assert_eq!(dag.len(), 6);
         // Critical path: server.install → server.start → db.start →
@@ -627,7 +635,7 @@ mod tests {
     #[test]
     fn dag_rejects_guard_cycles_statically() {
         // db.start waits on downstream active; app.start waits on
-        // upstream active: a 2-cycle the legacy engine wedges on.
+        // upstream active: a 2-cycle.
         let mut wedged = DriverSpec::new();
         wedged.add_transition(Transition::new(
             BasicState::Uninstalled,
@@ -658,7 +666,7 @@ mod tests {
         app2.set_inside_link("server");
         app2.add_peer_link("db2");
         spec.push(app2).unwrap();
-        let err = build_dag(&u, &spec, &initial(&spec), BasicState::Active).unwrap_err();
+        let err = build_dag(&u, &spec, &initial(&spec), &|_| Some(BasicState::Active)).unwrap_err();
         assert!(matches!(err, DeployError::GuardFailed { .. }), "{err}");
     }
 
@@ -702,15 +710,127 @@ mod tests {
         spec.push(app).unwrap();
         let mut states = initial(&spec);
         states.insert("app".into(), DriverState::Basic(BasicState::Active));
-        let err = build_dag(&u, &spec, &states, BasicState::Active).unwrap_err();
+        let err = build_dag(&u, &spec, &states, &|_| Some(BasicState::Active)).unwrap_err();
         assert!(matches!(err, DeployError::GuardFailed { .. }), "{err}");
+    }
+
+    fn with_states(
+        spec: &InstallSpec,
+        states: &[(&str, BasicState)],
+    ) -> BTreeMap<InstanceId, DriverState> {
+        let mut map = initial(spec);
+        for (id, s) in states {
+            map.insert((*id).into(), DriverState::Basic(*s));
+        }
+        map
+    }
+
+    /// The node of `inst` (spec index) running `action`.
+    fn node(dag: &TransitionDag, inst: u32, action: &str) -> usize {
+        dag.nodes
+            .iter()
+            .position(|n| n.inst == inst && n.action == action)
+            .unwrap_or_else(|| panic!("no {action} node for instance {inst}"))
+    }
+
+    #[test]
+    fn mixed_target_map_builds_nodes_only_for_moving_instances() {
+        use BasicState::*;
+        let u = universe();
+        let spec = spec();
+        let states = with_states(
+            &spec,
+            &[("server", Active), ("db", Inactive), ("app", Active)],
+        );
+        // db goes up, app comes down, the server is absent from the map.
+        let targets = |id: &InstanceId| match id.as_str() {
+            "db" => Some(Active),
+            "app" => Some(Uninstalled),
+            _ => None,
+        };
+        let dag = build_dag(&u, &spec, &states, &targets).unwrap();
+        assert!(dag.inst_nodes[0].is_empty(), "absent instance has nodes");
+        let actions: Vec<(u32, &str)> = dag
+            .nodes
+            .iter()
+            .map(|n| (n.inst, n.action.as_str()))
+            .collect();
+        assert_eq!(actions, [(1, "start"), (2, "stop"), (2, "uninstall")]);
+        // An instance already at its target contributes nothing either.
+        let idle = build_dag(&u, &spec, &states, &|id| {
+            (id.as_str() == "app").then_some(Active)
+        })
+        .unwrap();
+        assert_eq!(idle.len(), 0);
+    }
+
+    #[test]
+    fn teardown_runs_in_reverse_dependency_order() {
+        use BasicState::*;
+        let u = universe();
+        let spec = spec();
+        let states = with_states(
+            &spec,
+            &[("server", Active), ("db", Active), ("app", Active)],
+        );
+        let dag = build_dag(&u, &spec, &states, &|_| Some(Uninstalled)).unwrap();
+        // db's `↓inactive` stop guard waits on app's stop, and the
+        // server's on both: the reverse order comes from the guards.
+        let (app_stop, db_stop, server_stop) = (
+            node(&dag, 2, "stop"),
+            node(&dag, 1, "stop"),
+            node(&dag, 0, "stop"),
+        );
+        assert!(dag.succs[app_stop].contains(&(db_stop as u32)));
+        assert!(dag.succs[app_stop].contains(&(server_stop as u32)));
+        assert!(dag.succs[db_stop].contains(&(server_stop as u32)));
+    }
+
+    #[test]
+    fn stop_guard_over_uninstalled_dependent_holds_under_teardown_order() {
+        use BasicState::*;
+        let u = universe();
+        let spec = spec();
+        // A rolled-back partial deploy: the app never got installed.
+        let states = with_states(&spec, &[("server", Active), ("db", Active)]);
+        let dag = build_dag(&u, &spec, &states, &|_| Some(Uninstalled)).unwrap();
+        // `uninstalled` ⊒ `inactive`: db's stop waits on nothing but
+        // its own driver order.
+        assert_eq!(dag.indegree[node(&dag, 1, "stop")], 0);
+        assert!(dag.inst_nodes[2].is_empty());
+    }
+
+    #[test]
+    fn wedged_teardown_is_rejected_statically() {
+        use BasicState::*;
+        let u = universe();
+        let spec = spec();
+        let states = with_states(
+            &spec,
+            &[("server", Active), ("db", Active), ("app", Active)],
+        );
+        // Stopping db while its dependent app stays active: the
+        // `↓inactive` guard can never hold — the verdict a runtime
+        // guard check reaches on the first transition.
+        let err = build_dag(&u, &spec, &states, &|id| {
+            (id.as_str() == "db").then_some(Inactive)
+        })
+        .unwrap_err();
+        match err {
+            DeployError::GuardFailed {
+                instance, action, ..
+            } => {
+                assert_eq!((instance.as_str(), action.as_str()), ("db", "stop"));
+            }
+            other => panic!("expected GuardFailed, got {other}"),
+        }
     }
 
     #[test]
     fn critical_path_priorities_decrease_along_paths() {
         let u = universe();
         let spec = spec();
-        let dag = build_dag(&u, &spec, &initial(&spec), BasicState::Active).unwrap();
+        let dag = build_dag(&u, &spec, &initial(&spec), &|_| Some(BasicState::Active)).unwrap();
         for (i, succs) in dag.succs.iter().enumerate() {
             for &s in succs {
                 assert!(

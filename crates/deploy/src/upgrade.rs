@@ -7,9 +7,9 @@
 //! installed components are uninstalled and the old version restored from
 //! the backup."
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use engage_model::{topological_order, BasicState, InstallSpec, InstanceId};
+use engage_model::{topological_order, BasicState, DriverState, InstallSpec, InstanceId};
 use engage_sim::Snapshot;
 
 use crate::engine::{Deployment, DeploymentEngine};
@@ -142,12 +142,7 @@ impl DeploymentEngine<'_> {
         }
         let old_dep = dep.clone();
 
-        let attempt = match strategy {
-            UpgradeStrategy::WorstCase => {
-                self.try_upgrade(dep, new_spec).map(|()| dep.spec().len())
-            }
-            UpgradeStrategy::Incremental => self.try_upgrade_incremental(dep, new_spec),
-        };
+        let attempt = self.try_upgrade(dep, new_spec, strategy);
         match attempt {
             Ok(touched) => Ok(UpgradeReport {
                 plan,
@@ -179,136 +174,45 @@ impl DeploymentEngine<'_> {
         }
     }
 
-    /// The incremental strategy: compute the changed set and its
-    /// transitive dependents (in both the old and the new spec), stop only
-    /// those (reverse order), uninstall removed/replaced instances, and
-    /// reactivate only what was touched. Returns the touched-instance
-    /// count.
-    fn try_upgrade_incremental(
+    /// Runs an upgrade as at most two DAG runs: a teardown that stops
+    /// every touched instance of the old stack, uninstalling removed and
+    /// replaced components, then a bring-up of every touched instance of
+    /// the new stack. The worst-case strategy touches everything; the
+    /// incremental one only the changed instances and their transitive
+    /// dependents (in both the old and the new spec), so untouched
+    /// services keep running. Returns the touched-instance count.
+    fn try_upgrade(
         &self,
         dep: &mut Deployment,
         new_spec: &InstallSpec,
+        strategy: UpgradeStrategy,
     ) -> Result<usize, DeployError> {
         let plan = plan_upgrade(dep.spec(), new_spec);
-        let changed: std::collections::BTreeSet<InstanceId> = plan
-            .iter()
-            .filter_map(|p| match p {
-                UpgradePlanEntry::Keep(_) => None,
-                UpgradePlanEntry::Remove(id)
-                | UpgradePlanEntry::Replace(id)
-                | UpgradePlanEntry::Add(id) => Some(id.clone()),
-            })
-            .collect();
-        // Transitive dependents in either spec must bounce so stop/start
-        // guards hold and they reconnect to the new versions.
-        let mut affected = changed.clone();
-        for spec in [dep.spec(), new_spec] {
-            let Some(order) = topological_order(spec) else {
-                return Err(DeployError::Model(engage_model::ModelError::SpecError {
-                    detail: "spec has a dependency cycle".into(),
-                }));
-            };
-            // Walk downstream: process in topological order; an instance
-            // linking to an affected instance becomes affected.
-            for id in &order {
-                if let Some(inst) = spec.get(id) {
-                    if inst.links().any(|l| affected.contains(l)) {
-                        affected.insert(id.clone());
-                    }
-                }
-            }
-        }
-
-        // Stop affected old instances in reverse dependency order.
-        let old_order = topological_order(dep.spec()).expect("checked above");
-        for id in old_order.iter().rev() {
-            if affected.contains(id) {
-                self.drive_to(dep, id, BasicState::Inactive)?;
-            }
-        }
-        // Uninstall removed/replaced.
-        let to_remove: std::collections::BTreeSet<&InstanceId> = plan
+        let to_remove: BTreeSet<&InstanceId> = plan
             .iter()
             .filter_map(|p| match p {
                 UpgradePlanEntry::Remove(id) | UpgradePlanEntry::Replace(id) => Some(id),
                 _ => None,
             })
             .collect();
-        for id in old_order.iter().rev() {
-            if to_remove.contains(id) {
-                self.drive_to(dep, id, BasicState::Uninstalled)?;
-            }
-        }
-
-        // Swap in the new spec, keeping untouched instances' states.
-        let mut new_dep = Deployment {
-            spec: new_spec.clone(),
-            states: new_spec
-                .iter()
-                .map(|i| {
-                    let state = dep
-                        .state(i.id())
-                        .filter(|_| !to_remove.contains(i.id()))
-                        .cloned()
-                        .unwrap_or(engage_model::DriverState::Basic(BasicState::Uninstalled));
-                    (i.id().clone(), state)
-                })
-                .collect(),
-            machines: dep.machines().clone(),
-            timeline: dep.timeline().to_vec(),
-            monitor: dep.monitor().clone(),
+        let affected = match strategy {
+            UpgradeStrategy::WorstCase => None,
+            UpgradeStrategy::Incremental => Some(affected_by(&plan, dep.spec(), new_spec)?),
         };
-        for inst in new_spec.iter() {
-            if inst.inside_link().is_none() && !new_dep.machines().contains_key(inst.id()) {
-                return Err(DeployError::NoMachine {
-                    instance: inst.id().clone(),
-                });
-            }
-        }
-        // Reactivate only the affected instances, dependency order.
-        let new_order = topological_order(new_spec).ok_or(DeployError::Model(
-            engage_model::ModelError::SpecError {
-                detail: "new spec has a dependency cycle".into(),
-            },
-        ))?;
-        for id in &new_order {
-            if affected.contains(id) {
-                self.drive_to(&mut new_dep, id, BasicState::Active)?;
-            }
-        }
-        if !new_dep.is_deployed() {
-            return Err(DeployError::ActionFailed {
-                instance: "upgrade".into(),
-                action: "incremental".into(),
-                detail: "an untouched instance was not active after the upgrade".into(),
-            });
-        }
-        *dep = new_dep;
-        Ok(affected.len())
-    }
+        let touched = |id: &InstanceId| affected.as_ref().is_none_or(|a| a.contains(id));
+        let workers = self.workers_or(1);
 
-    fn try_upgrade(&self, dep: &mut Deployment, new_spec: &InstallSpec) -> Result<(), DeployError> {
-        // Stop the old stack in reverse dependency order.
-        self.stop_all(dep)?;
-        // Uninstall removed and replaced components (reverse order).
-        let plan = plan_upgrade(dep.spec(), new_spec);
-        let order = topological_order(dep.spec()).ok_or(DeployError::Model(
-            engage_model::ModelError::SpecError {
-                detail: "old spec has a dependency cycle".into(),
+        self.drive(
+            dep,
+            &|id| {
+                touched(id).then_some(if to_remove.contains(id) {
+                    BasicState::Uninstalled
+                } else {
+                    BasicState::Inactive
+                })
             },
-        ))?;
-        let to_remove: std::collections::BTreeSet<&InstanceId> = plan
-            .iter()
-            .filter_map(|p| match p {
-                UpgradePlanEntry::Remove(id) | UpgradePlanEntry::Replace(id) => Some(id),
-                _ => None,
-            })
-            .collect();
-        for id in order.iter().rev() {
-            if to_remove.contains(id) {
-                self.drive_to(dep, id, BasicState::Uninstalled)?;
-            }
-        }
+            workers,
+        )?;
 
         // Swap in the new spec; carry over driver states for kept
         // instances, fresh `uninstalled` for added/replaced ones.
@@ -321,7 +225,7 @@ impl DeploymentEngine<'_> {
                         .state(i.id())
                         .filter(|_| !to_remove.contains(i.id()))
                         .cloned()
-                        .unwrap_or(engage_model::DriverState::Basic(BasicState::Uninstalled));
+                        .unwrap_or(DriverState::Basic(BasicState::Uninstalled));
                     (i.id().clone(), state)
                 })
                 .collect(),
@@ -337,10 +241,57 @@ impl DeploymentEngine<'_> {
                 });
             }
         }
-        self.activate_all(&mut new_dep)?;
+        self.drive(
+            &mut new_dep,
+            &|id| touched(id).then_some(BasicState::Active),
+            workers,
+        )?;
+        if !new_dep.is_deployed() {
+            return Err(DeployError::ActionFailed {
+                instance: "upgrade".into(),
+                action: "incremental".into(),
+                detail: "an untouched instance was not active after the upgrade".into(),
+            });
+        }
         *dep = new_dep;
-        Ok(())
+        Ok(affected.map_or(dep.spec().len(), |a| a.len()))
     }
+}
+
+/// The instances an incremental upgrade bounces: every changed instance
+/// plus its transitive dependents in either spec, so stop/start guards
+/// hold and dependents reconnect to the new versions.
+fn affected_by(
+    plan: &[UpgradePlanEntry],
+    old: &InstallSpec,
+    new: &InstallSpec,
+) -> Result<BTreeSet<InstanceId>, DeployError> {
+    let mut affected: BTreeSet<InstanceId> = plan
+        .iter()
+        .filter_map(|p| match p {
+            UpgradePlanEntry::Keep(_) => None,
+            UpgradePlanEntry::Remove(id)
+            | UpgradePlanEntry::Replace(id)
+            | UpgradePlanEntry::Add(id) => Some(id.clone()),
+        })
+        .collect();
+    for spec in [old, new] {
+        let order = topological_order(spec).ok_or_else(|| {
+            DeployError::Model(engage_model::ModelError::SpecError {
+                detail: "spec has a dependency cycle".into(),
+            })
+        })?;
+        // Walk downstream: an instance linking to an affected instance
+        // becomes affected.
+        for id in &order {
+            if let Some(inst) = spec.get(id) {
+                if inst.links().any(|l| affected.contains(l)) {
+                    affected.insert(id.clone());
+                }
+            }
+        }
+    }
+    Ok(affected)
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! The whole-pipeline differential harness: run a [`Scenario`] through
 //! configure→plan→deploy→reconfigure across the full cross-product of
-//! solver modes × schedulers × fault settings and check every cell
-//! agrees with the construction-time oracle and with every other cell.
+//! solver modes × deploy executors × fault settings and check every cell
+//! agrees with the construction-time oracle and with the sequential
+//! [`Reference`] executor.
 //!
 //! Divergence is *reported*, not panicked, so the harness itself can be
 //! tested: [`check_scenario_perturbed`] plants a bug in one cell and a
@@ -11,12 +12,12 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use engage_config::{ConfigEngine, ConfigError, ConfigSession, SolverMode};
-use engage_deploy::{service_name, Deployment, DeploymentEngine, RetryPolicy, SchedulerStrategy};
+use engage_deploy::{package_name, service_name, Deployment, DeploymentEngine, RetryPolicy};
 use engage_model::{DriverState, InstallSpec, InstanceId};
 use engage_sat::ExactlyOneEncoding;
-use engage_sim::{DownloadSource, FaultPlan, Sim};
+use engage_sim::{DownloadSource, FaultPlan, HostId, Sim};
 
-use crate::Scenario;
+use crate::{Reference, Scenario};
 
 /// The solver modes every scenario is configured under.
 pub fn solver_modes() -> [SolverMode; 3] {
@@ -69,35 +70,39 @@ impl FaultSetting {
     }
 }
 
-/// The deployment engines every full spec is driven through.
+/// The deployment executors every full spec is driven through.
 #[derive(Debug, Clone, Copy)]
-enum Scheduler {
-    Sequential,
+enum Executor {
+    /// The sequential [`Reference`] executor: the oracle.
+    Reference,
+    /// `DeploymentEngine::deploy`: the DAG executor on one worker.
+    Deploy,
+    /// `DeploymentEngine::deploy_parallel` on this many workers.
     Wavefront(usize),
-    Slaves(usize),
 }
 
-const SCHEDULERS: [Scheduler; 4] = [
-    Scheduler::Sequential,
-    Scheduler::Wavefront(1),
-    Scheduler::Wavefront(4),
-    Scheduler::Slaves(2),
+const EXECUTORS: [Executor; 4] = [
+    Executor::Reference,
+    Executor::Deploy,
+    Executor::Wavefront(1),
+    Executor::Wavefront(4),
 ];
 
-impl fmt::Display for Scheduler {
+impl fmt::Display for Executor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Scheduler::Sequential => write!(f, "sequential"),
-            Scheduler::Wavefront(w) => write!(f, "wavefront:{w}"),
-            Scheduler::Slaves(w) => write!(f, "slaves:{w}"),
+            Executor::Reference => write!(f, "reference"),
+            Executor::Deploy => write!(f, "deploy"),
+            Executor::Wavefront(w) => write!(f, "wavefront:{w}"),
         }
     }
 }
 
-/// Everything two deployment engines must agree on: final driver
+/// Everything two deployment executors must agree on: final driver
 /// states, per-instance committed action sequences (times stripped —
-/// simulated clocks legitimately differ between engines, the order of
-/// actions per driver may not), and which services are left running.
+/// simulated clocks legitimately differ between executors, the order of
+/// actions per driver may not), and which services are left running and
+/// packages left installed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Observation {
     /// Final driver state per spec instance (`None` = never driven).
@@ -106,35 +111,66 @@ pub struct Observation {
     pub sequences: BTreeMap<InstanceId, Vec<String>>,
     /// Whether the instance's service is running, per hosted instance.
     pub services: BTreeMap<InstanceId, bool>,
+    /// Whether the instance's package is installed, per hosted instance.
+    pub packages: BTreeMap<InstanceId, bool>,
+}
+
+impl Observation {
+    /// Whether no observed service runs and no observed package stays
+    /// installed: the hosts are clean.
+    pub fn hosts_clean(&self) -> bool {
+        !self.services.values().any(|&up| up) && !self.packages.values().any(|&on| on)
+    }
 }
 
 /// Observes a deployment against `spec` (which may be larger than the
 /// spec the engine actually deployed — missing instances observe as
 /// `None`/absent, which is exactly how a planted bug is caught).
 pub fn observe(spec: &InstallSpec, sim: &Sim, dep: &Deployment) -> Observation {
+    observation(
+        spec,
+        sim,
+        |id| dep.state(id).cloned(),
+        |id| dep.host_of(id),
+        dep.timeline()
+            .iter()
+            .map(|t| (&t.instance, t.action.as_str())),
+    )
+}
+
+/// Builds an [`Observation`] from an executor's driver states, host
+/// placement and committed actions (in timeline order).
+pub(crate) fn observation<'i>(
+    spec: &InstallSpec,
+    sim: &Sim,
+    state_of: impl Fn(&InstanceId) -> Option<DriverState>,
+    host_of: impl Fn(&InstanceId) -> Option<HostId>,
+    actions: impl Iterator<Item = (&'i InstanceId, &'i str)>,
+) -> Observation {
     let mut sequences: BTreeMap<InstanceId, Vec<String>> = BTreeMap::new();
-    for t in dep.timeline() {
+    for (id, action) in actions {
         sequences
-            .entry(t.instance.clone())
+            .entry(id.clone())
             .or_default()
-            .push(t.action.clone());
+            .push(action.to_owned());
     }
     let mut services = BTreeMap::new();
-    for inst in spec.iter() {
-        if inst.inside_link().is_some() {
-            let running = dep
-                .host_of(inst.id())
-                .is_some_and(|h| sim.service_running(h, &service_name(inst.key())));
-            services.insert(inst.id().clone(), running);
-        }
+    let mut packages = BTreeMap::new();
+    for inst in spec.iter().filter(|i| i.inside_link().is_some()) {
+        let host = host_of(inst.id());
+        let running = host.is_some_and(|h| sim.service_running(h, &service_name(inst.key())));
+        let installed = host.is_some_and(|h| sim.has_package(h, &package_name(inst.key())));
+        services.insert(inst.id().clone(), running);
+        packages.insert(inst.id().clone(), installed);
     }
     Observation {
         states: spec
             .iter()
-            .map(|i| (i.id().clone(), dep.state(i.id()).cloned()))
+            .map(|i| (i.id().clone(), state_of(i.id())))
             .collect(),
         sequences,
         services,
+        packages,
     }
 }
 
@@ -177,7 +213,7 @@ pub struct SweepStats {
     pub reconfigure_len: usize,
     /// Enumerated minimal configurations, when the oracle pinned them.
     pub configurations: Option<usize>,
-    /// Deployment cells compared (schedulers × fault settings).
+    /// Deployment cells compared (executors × fault settings).
     pub cells: usize,
 }
 
@@ -207,8 +243,8 @@ pub fn check_scenario_perturbed(
     let (spec, reconfigured) = check_solver_modes(scenario)?;
     let configurations = check_configuration_count(scenario)?;
     let cells = check_deploy_cells(scenario, &spec, perturbation)?;
-    // The reconfigured spec must deploy cleanly too (sequential engine,
-    // clean sim — its scheduler equivalence is implied by the main leg).
+    // The reconfigured spec must deploy cleanly too (one worker, clean
+    // sim — its executor equivalence is implied by the main leg).
     let sim = Sim::new(DownloadSource::local_cache());
     let engine = DeploymentEngine::new(sim, &scenario.universe);
     if let Err(e) = engine.deploy(&reconfigured) {
@@ -331,8 +367,8 @@ fn check_configuration_count(scenario: &Scenario) -> Result<Option<usize>, Diver
     Ok(Some(counted))
 }
 
-/// Deploys the canonical spec through every scheduler × fault cell and
-/// compares each cell's observation to the clean sequential oracle.
+/// Deploys the canonical spec through every executor × fault cell and
+/// compares each cell's observation to the clean reference oracle.
 fn check_deploy_cells(
     scenario: &Scenario,
     spec: &InstallSpec,
@@ -345,18 +381,18 @@ fn check_deploy_cells(
     let mut oracle: Option<Observation> = None;
     let mut cells = 0usize;
     for fault in FaultSetting::ALL {
-        for sched in SCHEDULERS {
-            let cell = format!("deploy/{sched}/{}", fault.name());
+        for executor in EXECUTORS {
+            let cell = format!("deploy/{executor}/{}", fault.name());
             // The planted bug hits exactly one mid-product cell.
             let plant = perturbed_spec.is_some()
-                && matches!(sched, Scheduler::Wavefront(4))
+                && matches!(executor, Executor::Wavefront(4))
                 && fault == FaultSetting::None;
             let deploy_spec = if plant {
                 perturbed_spec.as_ref().unwrap()
             } else {
                 spec
             };
-            let seen = run_cell(scenario, spec, deploy_spec, fault, sched)
+            let seen = run_cell(scenario, spec, deploy_spec, fault, executor)
                 .map_err(|e| diverged(scenario, &cell, e))?;
             cells += 1;
             match &oracle {
@@ -382,34 +418,31 @@ fn run_cell(
     observe_spec: &InstallSpec,
     deploy_spec: &InstallSpec,
     fault: FaultSetting,
-    sched: Scheduler,
+    executor: Executor,
 ) -> Result<Observation, String> {
     let sim = Sim::new(DownloadSource::local_cache());
     fault.apply(&sim, scenario.seed);
-    let mut engine = DeploymentEngine::new(sim, &scenario.universe)
-        .with_retry_policy(fault.retry(scenario.seed));
-    let dep = match sched {
-        Scheduler::Sequential => engine.deploy(deploy_spec).map_err(|e| e.to_string())?,
-        Scheduler::Wavefront(workers) => {
-            engine = engine
-                .with_scheduler(SchedulerStrategy::Wavefront)
-                .with_workers(workers);
-            engine
-                .deploy_parallel(deploy_spec)
-                .map_err(|e| e.to_string())?
-                .deployment
+    let retry = fault.retry(scenario.seed);
+    let engine =
+        DeploymentEngine::new(sim.clone(), &scenario.universe).with_retry_policy(retry.clone());
+    let dep = match executor {
+        // The planted bug never hits the oracle, so it deploys and
+        // observes the canonical spec.
+        Executor::Reference => {
+            let mut reference = Reference::provision(&scenario.universe, observe_spec, sim, retry);
+            reference.deploy()?;
+            return Ok(reference.observe());
         }
-        Scheduler::Slaves(workers) => {
-            engine = engine
-                .with_scheduler(SchedulerStrategy::Slaves)
-                .with_workers(workers);
+        Executor::Deploy => engine.deploy(deploy_spec).map_err(|e| e.to_string())?,
+        Executor::Wavefront(workers) => {
             engine
+                .with_workers(workers)
                 .deploy_parallel(deploy_spec)
                 .map_err(|e| e.to_string())?
                 .deployment
         }
     };
-    Ok(observe(observe_spec, engine.sim(), &dep))
+    Ok(observe(observe_spec, &sim, &dep))
 }
 
 /// A one-line summary of where two observations disagree.

@@ -15,8 +15,10 @@
 //!
 //! The [`differential`] module runs a scenario through
 //! configure→plan→deploy→reconfigure across the full cross-product of
-//! solver modes × schedulers × fault settings and checks that every
-//! cell agrees (see `docs/testing.md`).
+//! solver modes × deploy executors × fault settings and checks that every
+//! cell agrees (see `docs/testing.md`). The [`Reference`] executor, an
+//! independent sequential walk of the dependency order, is the oracle
+//! for the deployment engine's transition DAG executor.
 //!
 //! Scenarios come from three sources:
 //!
@@ -31,6 +33,7 @@
 
 pub mod differential;
 mod families;
+mod reference;
 
 use std::fmt;
 
@@ -42,6 +45,7 @@ pub use differential::{
     check_scenario, check_scenario_perturbed, observe, solver_modes, Divergence, FaultSetting,
     Observation, Perturbation, SweepStats,
 };
+pub use reference::Reference;
 
 /// A named topology family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

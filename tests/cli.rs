@@ -346,33 +346,25 @@ fn deploy_kill_after_reports_structured_failure_and_resumes() {
 }
 
 #[test]
-fn deploy_guard_timeout_flag() {
+fn deploy_rejects_removed_scheduler_flags() {
     let spec = write_temp("fig2l.json", FIGURE_2);
     let path = spec.to_str().unwrap();
-    let ok = engage_cmd(&[
-        "deploy",
-        "--library",
-        "base",
-        "--spec",
-        path,
-        "--parallel",
-        "--guard-timeout-ms",
-        "5000",
-    ]);
-    assert!(ok.status.success(), "{}", stderr(&ok));
-    let bad = engage_cmd(&["deploy", "--spec", path, "--guard-timeout-ms", "soon"]);
-    assert!(!bad.status.success());
-    assert!(
-        stderr(&bad).contains("not a whole number of milliseconds"),
-        "{}",
-        stderr(&bad)
-    );
-    // Missing value is also rejected.
-    assert!(
-        !engage_cmd(&["deploy", "--spec", path, "--guard-timeout-ms"])
-            .status
-            .success()
-    );
+    // One executor: the legacy slave engine and its guard timeout are
+    // gone, and neither flag may be silently ignored.
+    for (flag, value) in [("--scheduler", "slaves"), ("--guard-timeout-ms", "5")] {
+        let out = engage_cmd(&[
+            "deploy",
+            "--library",
+            "base",
+            "--spec",
+            path,
+            "--parallel",
+            flag,
+            value,
+        ]);
+        assert!(!out.status.success(), "{flag} was accepted");
+        assert!(stderr(&out).contains(flag), "{}", stderr(&out));
+    }
 }
 
 #[test]

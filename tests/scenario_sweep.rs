@@ -1,10 +1,11 @@
 //! Whole-pipeline differential sweep over generated scenarios: per seed
 //! and topology family, `engage_testgen` runs
 //! configure→plan→deploy→reconfigure through the full cross-product of
-//! solver modes (serial / portfolio:4 / incremental) × schedulers
-//! (sequential / wavefront / slaves) × fault settings (none /
-//! transient-chaos) and every cell must agree with the
-//! construction-time oracle and with every other cell.
+//! solver modes (serial / portfolio:4 / incremental) × deploy executors
+//! (the sequential reference oracle / the DAG executor at one and four
+//! workers) × fault settings (none / transient-chaos) and every cell
+//! must agree with the construction-time oracle and with every other
+//! cell.
 //!
 //! Seed depth is controlled by `ENGAGE_SCENARIO_SWEEP_SEEDS` (default
 //! 8; `scripts/verify.sh` runs 32). A failing scenario reproduces from
@@ -91,7 +92,6 @@ proptest! {
 /// A wavefront facade over the scenario's universe, with a journal.
 fn wavefront_sys(s: &Scenario, journal: &DeployJournal) -> Engage {
     Engage::new(s.universe.clone())
-        .with_scheduler(engage_deploy::SchedulerStrategy::Wavefront)
         .with_workers(4)
         .with_journal(journal.clone())
 }

@@ -1,17 +1,20 @@
-//! Seeded property sweep: the wavefront DAG scheduler must be
-//! observationally equivalent to the sequential engine and the legacy
-//! slave engine — identical final driver states, identical per-instance
-//! action sequences, identical running services — across
-//! `engage-testgen` scenarios (rotating through every topology family),
-//! worker counts {1, 2, 4, 8}, and fault plans.
+//! Seeded property sweep: the transition DAG executor must be
+//! observationally equivalent to the sequential reference executor of
+//! `engage-testgen` — identical final driver states, identical
+//! per-instance action sequences, identical running services and
+//! installed packages — across `engage-testgen` scenarios (rotating
+//! through every topology family), worker counts {1, 2, 4, 8}, and fault
+//! plans. Every deploy is followed by a stop and an uninstall, compared
+//! the same way, and the hosts must end clean; an auto-rollback cell
+//! under permanent faults must leave them clean too.
 //!
 //! Seed depth is controlled by `ENGAGE_SCHED_SWEEP_SEEDS` (default 4).
 
 use engage_config::ConfigEngine;
-use engage_deploy::{package_name, service_name, DeploymentEngine, RetryPolicy, SchedulerStrategy};
+use engage_deploy::{package_name, service_name, DeploymentEngine, RetryPolicy};
 use engage_model::InstallSpec;
 use engage_sim::{DownloadSource, FaultKind, FaultOp, FaultPlan, Sim};
-use engage_testgen::{observe, scenario, Family, Observation, Scenario};
+use engage_testgen::{observe, scenario, Family, Observation, Reference, Scenario};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -34,7 +37,7 @@ fn case(seed: u64) -> (Scenario, InstallSpec) {
 /// The (package, service) fault targets: the first and last hosted
 /// instances of the spec. Count-based transient charges are consumed in
 /// operation-arrival order — which instance eats a charge may differ
-/// between engines, but with all-transient faults and retries the
+/// between executors, but with all-transient faults and retries the
 /// committed timelines must still agree.
 fn fault_targets(spec: &InstallSpec) -> (String, String) {
     let hosted: Vec<_> = spec.iter().filter(|i| i.inside_link().is_some()).collect();
@@ -43,58 +46,70 @@ fn fault_targets(spec: &InstallSpec) -> (String, String) {
     (package_name(first.key()), service_name(last.key()))
 }
 
-/// Runs one engine configuration over `spec` and observes the result.
-fn run(
-    s: &Scenario,
-    spec: &InstallSpec,
-    configure: &dyn Fn(&Sim),
-    retry: &RetryPolicy,
-    strategy: Option<(SchedulerStrategy, usize)>,
-) -> Observation {
-    let sim = Sim::new(DownloadSource::local_cache());
-    configure(&sim);
-    let mut engine = DeploymentEngine::new(sim, &s.universe).with_retry_policy(retry.clone());
-    match strategy {
-        None => {
-            let dep = engine.deploy(spec).unwrap();
-            observe(spec, engine.sim(), &dep)
-        }
-        Some((strategy, workers)) => {
-            engine = engine.with_scheduler(strategy).with_workers(workers);
-            let outcome = engine.deploy_parallel(spec).unwrap();
-            observe(spec, engine.sim(), &outcome.deployment)
-        }
-    }
+/// The lifecycle observations one executor must reproduce: after the
+/// deploy, after `stop`, and after `uninstall`.
+type Lifecycle = [Observation; 3];
+
+/// The oracle: the reference executor's deploy → stop → uninstall.
+fn reference(s: &Scenario, spec: &InstallSpec, sim: Sim, retry: &RetryPolicy) -> Lifecycle {
+    let mut r = Reference::provision(&s.universe, spec, sim, retry.clone());
+    r.deploy().unwrap();
+    let up = r.observe();
+    r.stop().unwrap();
+    let stopped = r.observe();
+    r.uninstall().unwrap();
+    [up, stopped, r.observe()]
 }
 
-/// The sweep core: sequential oracle vs. legacy slaves vs. wavefront at
-/// every worker count, on one seeded topology and fault setup.
+/// The DAG executor on `workers` workers: parallel deploy, then
+/// `stop_all` and `uninstall_all` on the same worker count.
+fn dag(
+    s: &Scenario,
+    spec: &InstallSpec,
+    sim: Sim,
+    retry: &RetryPolicy,
+    workers: usize,
+) -> Lifecycle {
+    let engine = DeploymentEngine::new(sim.clone(), &s.universe)
+        .with_retry_policy(retry.clone())
+        .with_workers(workers);
+    let mut dep = engine.deploy_parallel(spec).unwrap().deployment;
+    let up = observe(spec, &sim, &dep);
+    engine.stop_all(&mut dep).unwrap();
+    let stopped = observe(spec, &sim, &dep);
+    engine.uninstall_all(&mut dep).unwrap();
+    [up, stopped, observe(spec, &sim, &dep)]
+}
+
+/// The sweep core: the reference oracle vs. the DAG executor at every
+/// worker count, on one seeded topology and fault setup.
 fn assert_equivalent(seed: u64, configure: &dyn Fn(&Sim, &InstallSpec), retry: &RetryPolicy) {
     let (s, spec) = case(seed);
-    let setup = |sim: &Sim| configure(sim, &spec);
-    let oracle = run(&s, &spec, &setup, retry, None);
-    let legacy = run(
-        &s,
-        &spec,
-        &setup,
-        retry,
-        Some((SchedulerStrategy::Slaves, 1)),
+    let fresh = || {
+        let sim = Sim::new(DownloadSource::local_cache());
+        configure(&sim, &spec);
+        sim
+    };
+    let oracle = reference(&s, &spec, fresh(), retry);
+    assert!(
+        oracle[2].hosts_clean(),
+        "{}: reference left residue",
+        s.name()
     );
-    assert_eq!(oracle, legacy, "{}: legacy slaves diverge", s.name());
     for workers in WORKER_COUNTS {
-        let wavefront = run(
-            &s,
-            &spec,
-            &setup,
-            retry,
-            Some((SchedulerStrategy::Wavefront, workers)),
-        );
-        assert_eq!(
-            oracle,
-            wavefront,
-            "{}: wavefront with {workers} workers diverges",
-            s.name()
-        );
+        let seen = dag(&s, &spec, fresh(), retry, workers);
+        for (phase, (expected, got)) in ["deploy", "stop", "uninstall"]
+            .iter()
+            .zip(oracle.iter().zip(&seen))
+        {
+            assert_eq!(
+                expected,
+                got,
+                "{}: {phase} with {workers} workers diverges",
+                s.name()
+            );
+        }
+        assert!(seen[2].hosts_clean(), "{}: residue", s.name());
     }
 }
 
@@ -125,8 +140,8 @@ fn wavefront_matches_oracles_with_transient_fault_charges() {
 fn wavefront_matches_oracles_under_chaos_plans() {
     for seed in 0..sweep_seeds() {
         // Probabilistic all-transient chaos with a deep retry budget:
-        // every engine converges (transient faults always retry through)
-        // and the converged observations must agree.
+        // every executor converges (transient faults always retry
+        // through) and the converged observations must agree.
         let configure = move |sim: &Sim, _: &InstallSpec| {
             sim.set_fault_plan(
                 FaultPlan::new(seed)
@@ -136,5 +151,52 @@ fn wavefront_matches_oracles_under_chaos_plans() {
         };
         let retry = RetryPolicy::new(10).with_seed(seed);
         assert_equivalent(seed, &configure, &retry);
+    }
+}
+
+/// Whether no package or service of `spec`'s hosted instances is left
+/// on any host of `sim`.
+fn hosts_clean(spec: &InstallSpec, sim: &Sim) -> bool {
+    let hosted: Vec<_> = spec.iter().filter(|i| i.inside_link().is_some()).collect();
+    sim.hosts().into_iter().all(|h| {
+        hosted.iter().all(|i| {
+            !sim.has_package(h, &package_name(i.key()))
+                && !sim.service_running(h, &service_name(i.key()))
+        })
+    })
+}
+
+#[test]
+fn auto_rollback_matches_reference_under_permanent_faults() {
+    for seed in 0..sweep_seeds() {
+        let (s, spec) = case(seed);
+        // The last hosted instance's service never starts: every deploy
+        // fails part-way, wherever the executor had got to.
+        let (_, service) = fault_targets(&spec);
+        let fresh = || {
+            let sim = Sim::new(DownloadSource::local_cache());
+            sim.inject_fault(FaultOp::Start, &service, u32::MAX, FaultKind::Permanent);
+            sim
+        };
+        let sim = fresh();
+        let mut r = Reference::provision(&s.universe, &spec, sim.clone(), RetryPolicy::none());
+        assert!(r.deploy().is_err(), "{}: the fault must fire", s.name());
+        let rolled_back = r.rollback();
+        let clean = hosts_clean(&spec, &sim);
+        assert!(rolled_back && clean, "{}: reference residue", s.name());
+        for workers in WORKER_COUNTS {
+            let sim = fresh();
+            let engine = DeploymentEngine::new(sim.clone(), &s.universe)
+                .with_auto_rollback(true)
+                .with_workers(workers);
+            let failure = engine.deploy_parallel_with_recovery(&spec).unwrap_err();
+            assert_eq!(
+                (failure.rolled_back, hosts_clean(&spec, &sim)),
+                (Some(rolled_back), clean),
+                "{}: rollback with {workers} workers diverges after: {}",
+                s.name(),
+                failure.error
+            );
+        }
     }
 }
