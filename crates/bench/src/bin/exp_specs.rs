@@ -13,7 +13,7 @@
 //! Run with: `cargo run -p engage-bench --bin exp_specs [--metrics [FILE]] [--trace FILE]`
 
 use engage_bench::Reporter;
-use engage_config::{generate, graph_gen, ConfigEngine};
+use engage_config::{generate, graph_gen, render_constraints, ConfigEngine};
 use engage_model::{PartialInstallSpec, Universe};
 use engage_sat::ExactlyOneEncoding;
 
@@ -103,7 +103,7 @@ fn main() {
 
     println!("== §4 Boolean constraints generated from the hypergraph ==");
     let constraints = generate(&graph, ExactlyOneEncoding::Pairwise);
-    print!("{}", constraints.render(&graph));
+    print!("{}", render_constraints(&graph));
     let (vars, clauses) = (
         constraints.cnf().num_vars(),
         constraints.cnf().num_clauses(),

@@ -112,29 +112,30 @@ impl Constraints {
     pub fn parallel_chunks(&self) -> u32 {
         self.parallel_chunks
     }
+}
 
-    /// Renders the constraints in the paper's notation (§4), e.g.
-    /// `tomcat -> X{jdk-1.6, jre-1.6}`.
-    pub fn render(&self, g: &HyperGraph) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for n in g.nodes() {
-            if n.from_spec() {
-                let _ = writeln!(out, "{}    (from install spec)", n.id());
-            }
+/// Renders the constraints `Generate(R, I)` of `g` in the paper's
+/// notation (§4), e.g. `tomcat -> X{jdk-1.6, jre-1.6}`. The text follows
+/// from the graph alone, so it is built only when a caller asks for it.
+pub fn render_constraints(g: &HyperGraph) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for n in g.nodes() {
+        if n.from_spec() {
+            let _ = writeln!(out, "{}    (from install spec)", n.id());
         }
-        for e in g.edges() {
-            let _ = write!(out, "{} -> X{{", e.source());
-            for (i, t) in e.targets().iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{t}");
-            }
-            let _ = writeln!(out, "}}    ({} dep)", e.kind());
-        }
-        out
     }
+    for e in g.edges() {
+        let _ = write!(out, "{} -> X{{", e.source());
+        for (i, t) in e.targets().iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let _ = write!(out, "{t}");
+        }
+        let _ = writeln!(out, "}}    ({} dep)", e.kind());
+    }
+    out
 }
 
 /// Generates the Boolean constraints (`Generate(R, I)` of Theorem 1).
@@ -601,8 +602,7 @@ mod tests {
     fn render_matches_paper_notation() {
         let u = openmrs_universe();
         let g = graph_gen(&u, &figure_2()).unwrap();
-        let c = generate(&g, ExactlyOneEncoding::Pairwise);
-        let text = c.render(&g);
+        let text = render_constraints(&g);
         assert!(text.contains("openmrs    (from install spec)"));
         assert!(
             text.contains("tomcat -> X{jdk-1.6, jre-1.6}    (env dep)"),

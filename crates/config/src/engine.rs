@@ -6,15 +6,13 @@ use std::fmt;
 use std::sync::Arc;
 
 use engage_model::{
-    check_install_spec, InstallSpec, InstanceId, ModelError, PartialInstallSpec, ResourceKey,
-    Universe, UniverseIndex,
+    check_install_spec_indexed, InstallSpec, InstanceId, ModelError, PartialInstallSpec,
+    ResourceKey, Universe, UniverseIndex,
 };
-use engage_sat::{
-    ExactlyOneEncoding, IncrementalSession, PortfolioSolver, SatResult, Solver, SolverStats,
-};
+use engage_sat::{ExactlyOneEncoding, IncrementalSession, SatResult, Solver, SolverStats};
 use engage_util::obs::Obs;
 
-use crate::constraints::{generate, generate_structural, Constraints};
+use crate::constraints::{generate, generate_structural, render_constraints, Constraints};
 use crate::graph::{graph_gen_indexed, HyperGraph};
 
 /// How the engine discharges the SAT query at the heart of
@@ -25,12 +23,6 @@ pub enum SolverMode {
     /// MiniSat setup).
     #[default]
     Serial,
-    /// Race `workers` diversified CDCL solvers; first winner cancels
-    /// the rest. Verdict is deterministic, stats are not.
-    Portfolio {
-        /// Number of racing workers (clamped to at least 1).
-        workers: usize,
-    },
     /// Keep a solver alive across [`ConfigEngine::reconfigure`] calls:
     /// spec instances become assumptions, learnt clauses carry over
     /// whenever the structural constraints are unchanged.
@@ -41,7 +33,6 @@ impl fmt::Display for SolverMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SolverMode::Serial => write!(f, "serial"),
-            SolverMode::Portfolio { workers } => write!(f, "portfolio:{workers}"),
             SolverMode::Incremental => write!(f, "incremental"),
         }
     }
@@ -50,28 +41,14 @@ impl fmt::Display for SolverMode {
 impl std::str::FromStr for SolverMode {
     type Err = String;
 
-    /// Parses `serial`, `incremental`, `portfolio` (4 workers), or
-    /// `portfolio:N`.
+    /// Parses `serial` or `incremental`.
     fn from_str(s: &str) -> Result<Self, String> {
         match s {
             "serial" => Ok(SolverMode::Serial),
             "incremental" => Ok(SolverMode::Incremental),
-            "portfolio" => Ok(SolverMode::Portfolio { workers: 4 }),
-            _ => {
-                if let Some(n) = s.strip_prefix("portfolio:") {
-                    let workers: usize = n
-                        .parse()
-                        .map_err(|_| format!("bad portfolio worker count `{n}`"))?;
-                    if workers == 0 {
-                        return Err("portfolio needs at least 1 worker".into());
-                    }
-                    Ok(SolverMode::Portfolio { workers })
-                } else {
-                    Err(format!(
-                        "unknown solver mode `{s}` (expected serial, portfolio[:N], incremental)"
-                    ))
-                }
-            }
+            _ => Err(format!(
+                "unknown solver mode `{s}` (expected serial or incremental)"
+            )),
         }
     }
 }
@@ -110,7 +87,6 @@ struct CachedStructure {
     encoding: ExactlyOneEncoding,
     graph: HyperGraph,
     constraints: Constraints,
-    rendered: String,
     spec_lits: Vec<engage_sat::Lit>,
 }
 
@@ -141,7 +117,7 @@ impl ConfigSession {
         &self,
         engine: &ConfigEngine<'_>,
         partial: &PartialInstallSpec,
-    ) -> Option<(HyperGraph, Constraints, String, Vec<engage_sat::Lit>)> {
+    ) -> Option<(HyperGraph, Constraints, Vec<engage_sat::Lit>)> {
         let c = self.structure.as_ref()?;
         if c.shape != spec_shape(partial)
             || c.universe_types != engine.universe.len()
@@ -151,12 +127,7 @@ impl ConfigSession {
         }
         let mut graph = c.graph.clone();
         graph.refresh_config_overrides(partial);
-        Some((
-            graph,
-            c.constraints.clone(),
-            c.rendered.clone(),
-            c.spec_lits.clone(),
-        ))
+        Some((graph, c.constraints.clone(), c.spec_lits.clone()))
     }
 }
 
@@ -210,13 +181,9 @@ pub struct ConfigOutcome {
     pub spec: InstallSpec,
     /// The resource-instance hypergraph (Figure 5).
     pub graph: HyperGraph,
-    /// The Boolean constraints in the paper's notation.
-    pub constraints_rendered: String,
     /// CNF size: (variables, clauses).
     pub cnf_size: (u32, usize),
-    /// SAT-solver statistics. Serial/incremental stats are
-    /// deterministic; under [`SolverMode::Portfolio`] these are the
-    /// race winner's and vary run to run.
+    /// SAT-solver statistics (deterministic in every mode).
     pub solver_stats: SolverStats,
     /// Whether an incremental session's live solver (and its learnt
     /// clauses) was reused instead of rebuilt. Always `false` outside
@@ -227,6 +194,14 @@ pub struct ConfigOutcome {
     /// generation entirely. Implies nothing about `reused_solver`; both
     /// are `false` outside incremental reconfiguration.
     pub reused_structure: bool,
+}
+
+impl ConfigOutcome {
+    /// The Boolean constraints in the paper's notation, rendered from
+    /// [`ConfigOutcome::graph`] on demand.
+    pub fn constraints_rendered(&self) -> String {
+        render_constraints(&self.graph)
+    }
 }
 
 /// The constraint-based configuration engine.
@@ -423,10 +398,10 @@ impl<'a> ConfigEngine<'a> {
             None
         };
         let reused_structure = cached.is_some();
-        let (graph, constraints, rendered, spec_lits) = match cached {
-            Some((graph, constraints, rendered, lits)) => {
+        let (graph, constraints, spec_lits) = match cached {
+            Some((graph, constraints, lits)) => {
                 self.obs.counter("config.structure_reuses").incr();
-                (graph, constraints, rendered, Some(lits))
+                (graph, constraints, Some(lits))
             }
             None => {
                 let graph = {
@@ -456,7 +431,6 @@ impl<'a> ConfigEngine<'a> {
                 self.obs
                     .gauge("config.constraint_gen.parallel_chunks")
                     .set(constraints.parallel_chunks() as i64);
-                let rendered = constraints.render(&graph);
                 if incremental {
                     if let (Some(s), Some(lits)) = (session.as_deref_mut(), spec_lits.as_ref()) {
                         s.structure = Some(CachedStructure {
@@ -465,12 +439,11 @@ impl<'a> ConfigEngine<'a> {
                             encoding: self.encoding,
                             graph: graph.clone(),
                             constraints: constraints.clone(),
-                            rendered: rendered.clone(),
                             spec_lits: lits.clone(),
                         });
                     }
                 }
-                (graph, constraints, rendered, spec_lits)
+                (graph, constraints, spec_lits)
             }
         };
         self.obs
@@ -523,7 +496,7 @@ impl<'a> ConfigEngine<'a> {
             (SatResult::Sat(m), stats, reused) => (m, stats, reused),
             (SatResult::Unsat, ..) => {
                 return Err(ConfigError::Unsatisfiable {
-                    constraints: rendered,
+                    constraints: render_constraints(&graph),
                 })
             }
         };
@@ -544,13 +517,12 @@ impl<'a> ConfigEngine<'a> {
             crate::propagate::build_full_spec_indexed(&self.index, &graph, &chosen)?
         };
         if self.verify {
-            check_install_spec(self.universe, &spec)
+            check_install_spec_indexed(&self.index, &spec)
                 .map_err(|mut errs| ConfigError::Model(errs.remove(0)))?;
         }
         Ok(ConfigOutcome {
             spec,
             cnf_size: (constraints.cnf().num_vars(), logical_clauses),
-            constraints_rendered: rendered,
             solver_stats,
             reused_solver,
             reused_structure,
@@ -573,12 +545,6 @@ impl<'a> ConfigEngine<'a> {
                 solver.set_obs(&self.obs);
                 let result = solver.solve();
                 (result, solver.stats(), false)
-            }
-            SolverMode::Portfolio { workers } => {
-                let mut portfolio = PortfolioSolver::new(workers);
-                portfolio.set_obs(&self.obs);
-                let outcome = portfolio.solve(constraints.cnf());
-                (outcome.result, outcome.stats, false)
             }
             SolverMode::Incremental => {
                 let lits = spec_lits.expect("incremental mode generates spec literals");
@@ -678,7 +644,7 @@ mod tests {
         let out = engine.configure(&figure_2()).unwrap();
         assert_eq!(out.spec.len(), 5);
         assert!(out.cnf_size.0 >= 6);
-        assert!(out.constraints_rendered.contains("from install spec"));
+        assert!(out.constraints_rendered().contains("from install spec"));
         // The partial spec (3 instances) expanded (5 instances) — the
         // paper's headline expansion behavior.
         assert!(out.spec.len() > figure_2().len());
@@ -750,19 +716,13 @@ mod tests {
     fn solver_modes_agree_on_openmrs() {
         let u = openmrs_universe();
         let serial = ConfigEngine::new(&u).configure(&figure_2()).unwrap();
-        for mode in [
-            SolverMode::Portfolio { workers: 1 },
-            SolverMode::Portfolio { workers: 4 },
-            SolverMode::Incremental,
-        ] {
-            let out = ConfigEngine::new(&u)
-                .with_solver_mode(mode)
-                .configure(&figure_2())
-                .unwrap();
-            assert_eq!(out.spec.len(), serial.spec.len(), "{mode}");
-            assert_eq!(out.cnf_size, serial.cnf_size, "{mode}");
-            assert!(!out.reused_solver, "{mode}: no session to reuse");
-        }
+        let out = ConfigEngine::new(&u)
+            .with_solver_mode(SolverMode::Incremental)
+            .configure(&figure_2())
+            .unwrap();
+        assert_eq!(out.spec, serial.spec);
+        assert_eq!(out.cnf_size, serial.cnf_size);
+        assert!(!out.reused_solver, "no session to reuse");
     }
 
     #[test]
@@ -895,17 +855,11 @@ mod tests {
         for (text, mode) in [
             ("serial", SolverMode::Serial),
             ("incremental", SolverMode::Incremental),
-            ("portfolio", SolverMode::Portfolio { workers: 4 }),
-            ("portfolio:8", SolverMode::Portfolio { workers: 8 }),
         ] {
             assert_eq!(SolverMode::from_str(text).unwrap(), mode);
+            assert_eq!(mode.to_string(), text);
         }
-        assert_eq!(
-            SolverMode::Portfolio { workers: 2 }.to_string(),
-            "portfolio:2"
-        );
-        assert!(SolverMode::from_str("portfolio:0").is_err());
-        assert!(SolverMode::from_str("portfolio:x").is_err());
+        assert!(SolverMode::from_str("portfolio").is_err());
         assert!(SolverMode::from_str("dpll").is_err());
     }
 

@@ -35,7 +35,7 @@
 //! round) and anti-flap: an instance whose repair keeps failing is backed
 //! off exponentially (in rounds) instead of being re-driven every tick.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::time::Duration;
 
@@ -318,46 +318,8 @@ impl<'a> ReconcileLoop<'a> {
             .collect();
 
         // ---- classify ----
-        let mut health: BTreeMap<InstanceId, InstanceHealth> = self
-            .dep
-            .spec
-            .iter()
-            .map(|i| (i.id().clone(), InstanceHealth::Converged))
-            .collect();
         let dead_hosts: BTreeSet<HostId> = dead.iter().map(|(_, h)| *h).collect();
-        let lost: Vec<InstanceId> = self
-            .dep
-            .spec
-            .iter()
-            .filter(|i| {
-                self.dep
-                    .host_of(i.id())
-                    .is_some_and(|h| dead_hosts.contains(&h))
-            })
-            .map(|i| i.id().clone())
-            .collect();
-        for id in lost {
-            health.insert(id, InstanceHealth::Lost);
-        }
-        for ev in &drift {
-            let DriftEvent::ServiceDown { host, service } = ev else {
-                continue; // HostLost is covered by the machine-map walk.
-            };
-            let downed: Vec<InstanceId> = self
-                .dep
-                .spec
-                .iter()
-                .filter(|i| {
-                    self.dep.host_of(i.id()) == Some(*host)
-                        && service_name(i.key()) == *service
-                        && health.get(i.id()) == Some(&InstanceHealth::Converged)
-                })
-                .map(|i| i.id().clone())
-                .collect();
-            for id in downed {
-                health.insert(id, InstanceHealth::Degraded);
-            }
-        }
+        let mut health = classify(&self.dep, &dead_hosts, &drift);
 
         // ---- zero-action round ----
         if drift.is_empty() && dead.is_empty() && self.dep.is_deployed() {
@@ -629,6 +591,54 @@ impl<'a> ReconcileLoop<'a> {
     }
 }
 
+/// The classify step of [`ReconcileLoop::tick`]: every instance of `dep`
+/// on a dead host is [`Lost`](InstanceHealth::Lost); every other instance
+/// whose (host, service) a [`DriftEvent::ServiceDown`] names is
+/// [`Degraded`](InstanceHealth::Degraded); the rest are
+/// [`Converged`](InstanceHealth::Converged). One pass over the spec
+/// builds a (host, service) index, so the cost is O(estate + drift).
+fn classify(
+    dep: &Deployment,
+    dead_hosts: &BTreeSet<HostId>,
+    drift: &[DriftEvent],
+) -> BTreeMap<InstanceId, InstanceHealth> {
+    let service_down = drift
+        .iter()
+        .any(|ev| matches!(ev, DriftEvent::ServiceDown { .. }));
+    let mut health = BTreeMap::new();
+    let mut by_service: HashMap<(HostId, String), Vec<&InstanceId>> = HashMap::new();
+    for i in dep.spec.iter() {
+        let h = match dep.host_of(i.id()) {
+            Some(host) if dead_hosts.contains(&host) => InstanceHealth::Lost,
+            Some(host) => {
+                if service_down {
+                    by_service
+                        .entry((host, service_name(i.key())))
+                        .or_default()
+                        .push(i.id());
+                }
+                InstanceHealth::Converged
+            }
+            None => InstanceHealth::Converged,
+        };
+        health.insert(i.id().clone(), h);
+    }
+    for ev in drift {
+        // HostLost is covered by the dead-host set.
+        let DriftEvent::ServiceDown { host, service } = ev else {
+            continue;
+        };
+        for id in by_service
+            .get(&(*host, service.clone()))
+            .into_iter()
+            .flatten()
+        {
+            health.insert((*id).clone(), InstanceHealth::Degraded);
+        }
+    }
+    health
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,6 +697,69 @@ mod tests {
             .with_retry_policy(crate::RetryPolicy::new(1));
         let dep = engine.deploy(&spec).unwrap();
         (ReconcileLoop::new(engine, config, partial(), dep), sim)
+    }
+
+    #[test]
+    fn classify_degrades_exactly_the_named_services_on_live_hosts() {
+        let u = universe();
+        let mut p = PartialInstallSpec::new();
+        for m in 0..6 {
+            let server = format!("server{m}");
+            p.push(PartialInstance::new(server.as_str(), "Ubuntu 10.10"))
+                .unwrap();
+            p.push(PartialInstance::new(format!("db{m}"), "MySQL 5.1").inside(server.as_str()))
+                .unwrap();
+            p.push(PartialInstance::new(format!("app{m}"), "App 1.0").inside(server.as_str()))
+                .unwrap();
+        }
+        let spec = ConfigEngine::new(&u).configure(&p).unwrap().spec;
+        let engine = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u);
+        let dep = engine.deploy(&spec).unwrap();
+        let host = |id: &str| dep.host_of(&InstanceId::new(id)).unwrap();
+        let mysql = service_name(&"MySQL 5.1".into());
+        let app = service_name(&"App 1.0".into());
+        let down = |id: &str, service: &str| DriftEvent::ServiceDown {
+            host: host(id),
+            service: service.to_owned(),
+        };
+        let drift = vec![
+            down("db0", &mysql),
+            down("db0", &mysql), // repeated
+            down("db3", &mysql),
+            down("app1", &app),
+            down("app4", &app),
+            down("db0", &mysql), // repeated again, after other events
+            down("db2", &mysql), // on a lost host
+            down("app5", &app),  // on a lost host
+            down("db1", "no-such-service"),
+            DriftEvent::HostLost {
+                host: host("server2"),
+                services: vec![mysql.clone(), app.clone()],
+            },
+        ];
+        let dead: BTreeSet<HostId> = [host("server2"), host("server5")].into();
+        let health = classify(&dep, &dead, &drift);
+        let with = |want: InstanceHealth| -> BTreeSet<&str> {
+            health
+                .iter()
+                .filter(|(_, h)| **h == want)
+                .map(|(id, _)| id.as_str())
+                .collect()
+        };
+        assert_eq!(health.len(), spec.len());
+        assert_eq!(
+            with(InstanceHealth::Degraded),
+            ["db0", "db3", "app1", "app4"].into()
+        );
+        assert_eq!(
+            with(InstanceHealth::Lost),
+            ["server2", "db2", "app2", "server5", "db5", "app5"].into()
+        );
+        assert_eq!(
+            with(InstanceHealth::Converged).len(),
+            spec.len() - 10,
+            "{health:?}"
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! `--trace FILE.jsonl` streams the span tree, driver transitions, and
 //! final metrics of the run as JSON Lines; `--metrics` appends a
 //! counter/gauge summary to the command output;
-//! `--solver serial|portfolio[:N]|incremental` selects the SAT solving
+//! `--solver serial|incremental` selects the SAT solving
 //! strategy used by `plan` and `deploy` (see docs/solver-modes.md).
 //!
 //! Robustness options for `deploy` (see docs/robustness.md):
@@ -59,7 +59,9 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use engage::{load_jsonl, DeployFailure, DeployJournal, Engage, ResumeMode, RetryPolicy};
-use engage_config::{diagnose, generate, graph_gen, ConfigEngine, ConfigError, SolverMode};
+use engage_config::{
+    diagnose, generate, graph_gen, render_constraints, ConfigEngine, ConfigError, SolverMode,
+};
 use engage_model::{PartialInstallSpec, Universe};
 use engage_sat::ExactlyOneEncoding;
 use engage_sim::FaultPlan;
@@ -180,7 +182,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--solver" => {
                 let value = args
                     .get(i + 1)
-                    .ok_or("--solver needs a mode (serial|portfolio[:N]|incremental)")?;
+                    .ok_or("--solver needs a mode (serial|incremental)")?;
                 opts.solver = Some(value.parse()?);
                 i += 2;
             }
@@ -473,10 +475,9 @@ fn run(args: &[String]) -> Result<String, String> {
             let u = load_universe(&opts)?;
             let partial = load_spec(&opts)?;
             let g = graph_gen(&u, &partial).map_err(|e| e.to_string())?;
-            let c = generate(&g, ExactlyOneEncoding::Pairwise);
             let mut out = g.render();
             out.push('\n');
-            out.push_str(&c.render(&g));
+            out.push_str(&render_constraints(&g));
             emit(&opts, out)
         }
         "dimacs" => {

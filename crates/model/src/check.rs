@@ -4,9 +4,11 @@
 //! sure all required dependencies are present in the correct physical
 //! context and that each instance is correctly configured" (§2).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 
+use crate::deps::Dependency;
 use crate::error::ModelError;
+use crate::index::UniverseIndex;
 use crate::instance::{InstallSpec, InstanceId, ResourceInstance};
 use crate::key::ResourceKey;
 use crate::ports::PortKind;
@@ -28,60 +30,59 @@ use crate::universe::Universe;
 ///    each input port value equals the linked instance's mapped output
 ///    (configuration options are "passed correctly", §1).
 ///
+/// Builds a [`UniverseIndex`] and runs [`check_install_spec_indexed`];
+/// callers that already hold an index should call that directly.
+///
 /// # Errors
 ///
 /// All violations found, as a non-empty list.
 pub fn check_install_spec(universe: &Universe, spec: &InstallSpec) -> Result<(), Vec<ModelError>> {
+    check_install_spec_indexed(&UniverseIndex::new(universe), spec)
+}
+
+/// [`check_install_spec`] over a prebuilt [`UniverseIndex`]: every type,
+/// target-expansion and subtype question is an index lookup, so the
+/// check costs O(instances × links) rather than re-deriving effective
+/// types per instance.
+///
+/// # Errors
+///
+/// All violations found, as a non-empty list.
+pub fn check_install_spec_indexed(
+    index: &UniverseIndex,
+    spec: &InstallSpec,
+) -> Result<(), Vec<ModelError>> {
     let mut errors = Vec::new();
 
-    // Resolve effective types once.
-    let mut types: BTreeMap<InstanceId, ResourceType> = BTreeMap::new();
-    for inst in spec.iter() {
-        match universe.effective(inst.key()) {
-            Ok(ty) => {
-                if ty.is_abstract() {
-                    errors.push(ModelError::AbstractInstantiation {
-                        key: inst.key().clone(),
-                        instance: inst.id().to_string(),
-                    });
-                } else {
-                    types.insert(inst.id().clone(), ty);
-                }
+    // Resolve effective types once, in spec order.
+    let types: Vec<Option<&ResourceType>> = spec
+        .iter()
+        .map(|inst| match index.effective(inst.key()) {
+            Ok(ty) if ty.is_abstract() => {
+                errors.push(ModelError::AbstractInstantiation {
+                    key: inst.key().clone(),
+                    instance: inst.id().to_string(),
+                });
+                None
             }
-            Err(_) => errors.push(ModelError::UnknownKey {
-                key: inst.key().clone(),
-                referenced_by: format!("instance `{}`", inst.id()),
-            }),
-        }
-    }
+            Ok(ty) => Some(ty),
+            Err(_) => {
+                errors.push(ModelError::UnknownKey {
+                    key: inst.key().clone(),
+                    referenced_by: format!("instance `{}`", inst.id()),
+                });
+                None
+            }
+        })
+        .collect();
 
-    // Input ports fed *against* the dependency direction by some
-    // dependent's static output (§3.4). When the dependent is not part of
-    // this deployment, such an input legitimately has no value.
-    let mut reverse_fed: BTreeSet<(ResourceKey, String)> = BTreeSet::new();
-    for key in universe.keys() {
-        let Ok(ty) = universe.effective(key) else {
+    for (inst, ty) in spec.iter().zip(types) {
+        let Some(ty) = ty else {
             continue;
         };
-        for dep in ty.dependencies() {
-            let referrer = format!("`{key}`");
-            let Ok(targets) = universe.expand_targets(dep, &referrer) else {
-                continue;
-            };
-            for m in dep.reverse_mappings() {
-                for t in &targets {
-                    reverse_fed.insert((t.clone(), m.to_input().to_owned()));
-                }
-            }
-        }
-    }
-
-    for inst in spec.iter() {
-        let Some(ty) = types.get(inst.id()) else {
-            continue;
-        };
-        check_links(universe, spec, inst, ty, &types, &mut errors);
-        check_ports(spec, inst, ty, &reverse_fed, &mut errors);
+        let targets = index.dependency_targets(inst.key());
+        check_links(index, spec, inst, ty, targets, &mut errors);
+        check_ports(inst, ty, index.reverse_fed_inputs(), &mut errors);
     }
 
     check_instance_acyclicity(spec, &mut errors);
@@ -97,16 +98,31 @@ fn key_of<'a>(spec: &'a InstallSpec, id: &InstanceId) -> Option<&'a ResourceKey>
     spec.get(id).map(|i| i.key())
 }
 
+/// Whether `key` instantiates one of the expanded `targets`.
+fn satisfies(index: &UniverseIndex, key: &ResourceKey, targets: &[ResourceKey]) -> bool {
+    targets
+        .iter()
+        .any(|t| key == t || index.is_declared_subtype(key, t))
+}
+
+/// Checks `inst`'s links and port mappings; `expanded[i]` holds the
+/// targets of `ty.dependencies()`'s `i`-th dependency (`None` if the
+/// expansion failed, which is then redone so the error names `inst`).
 fn check_links(
-    universe: &Universe,
+    index: &UniverseIndex,
     spec: &InstallSpec,
     inst: &ResourceInstance,
     ty: &ResourceType,
-    types: &BTreeMap<InstanceId, ResourceType>,
+    expanded: &[Option<Vec<ResourceKey>>],
     errors: &mut Vec<ModelError>,
 ) {
-    let referrer = format!("instance `{}`", inst.id());
-    let my_machine = spec.machine_of(inst.id());
+    let targets_of = |i: usize, dep: &Dependency| match &expanded[i] {
+        Some(targets) => Ok(targets.as_slice()),
+        None => Err(index
+            .expand_targets(dep, &format!("instance `{}`", inst.id()))
+            .expect_err("the type's expansion failed")),
+    };
+    let my_machine = spec.machine_ref(inst.id());
 
     // Inside.
     match (ty.inside(), inst.inside_link()) {
@@ -120,42 +136,39 @@ fn check_links(
         (Some(_), None) => errors.push(ModelError::SpecError {
             detail: format!("instance `{}` is missing its inside link", inst.id()),
         }),
-        (Some(dep), Some(link)) => {
-            match (universe.expand_targets(dep, &referrer), key_of(spec, link)) {
-                (Ok(targets), Some(link_key)) => {
-                    let ok = targets
-                        .iter()
-                        .any(|t| link_key == t || universe.is_declared_subtype(link_key, t));
-                    if !ok {
-                        errors.push(ModelError::SpecError {
-                            detail: format!(
-                                "inside link of `{}` points at `{link}` (`{link_key}`), which \
+        (Some(dep), Some(link)) => match (targets_of(0, dep), key_of(spec, link)) {
+            (Ok(targets), Some(link_key)) => {
+                if !satisfies(index, link_key, targets) {
+                    errors.push(ModelError::SpecError {
+                        detail: format!(
+                            "inside link of `{}` points at `{link}` (`{link_key}`), which \
                              satisfies none of {}",
-                                inst.id(),
-                                dep
-                            ),
-                        });
-                    }
+                            inst.id(),
+                            dep
+                        ),
+                    });
                 }
-                (Err(e), _) => errors.push(e),
-                (_, None) => errors.push(ModelError::SpecError {
-                    detail: format!(
-                        "inside link of `{}` points at unknown instance `{link}`",
-                        inst.id()
-                    ),
-                }),
             }
-        }
+            (Err(e), _) => errors.push(e),
+            (_, None) => errors.push(ModelError::SpecError {
+                detail: format!(
+                    "inside link of `{}` points at unknown instance `{link}`",
+                    inst.id()
+                ),
+            }),
+        },
     }
 
     // Env and peer: each dependency must be satisfiable by a distinct link.
-    for (kind_name, deps, links, same_machine) in [
-        ("environment", ty.env(), inst.env_links(), true),
-        ("peer", ty.peer(), inst.peer_links(), false),
+    let env_first = usize::from(ty.inside().is_some());
+    let peer_first = env_first + ty.env().len();
+    for (kind_name, deps, first, links, same_machine) in [
+        ("environment", ty.env(), env_first, inst.env_links(), true),
+        ("peer", ty.peer(), peer_first, inst.peer_links(), false),
     ] {
         let mut used: BTreeSet<usize> = BTreeSet::new();
-        for dep in deps {
-            let targets = match universe.expand_targets(dep, &referrer) {
+        for (i, dep) in deps.iter().enumerate() {
+            let targets = match targets_of(first + i, dep) {
                 Ok(t) => t,
                 Err(e) => {
                     errors.push(e);
@@ -169,16 +182,13 @@ fn check_links(
                 let Some(link_key) = key_of(spec, link) else {
                     return false;
                 };
-                let key_ok = targets
-                    .iter()
-                    .any(|t| link_key == t || universe.is_declared_subtype(link_key, t));
-                if !key_ok {
+                if !satisfies(index, link_key, targets) {
                     return false;
                 }
                 if same_machine {
                     // Environment dependencies resolve "within the context of
                     // a single machine" (§1).
-                    spec.machine_of(link) == my_machine && my_machine.is_some()
+                    spec.machine_ref(link) == my_machine && my_machine.is_some()
                 } else {
                     true
                 }
@@ -211,22 +221,15 @@ fn check_links(
 
     // Port mappings: each input port equals the mapped output of the linked
     // instance satisfying that dependency.
-    for dep in ty.dependencies() {
-        let Ok(targets) = universe.expand_targets(dep, &referrer) else {
+    for (dep, targets) in ty.dependencies().zip(expanded) {
+        let Some(targets) = targets else {
             continue;
         };
-        // The instance links that could satisfy this dependency.
-        let candidates: Vec<&InstanceId> = inst
+        // The first instance link that could satisfy this dependency.
+        let satisfier = inst
             .links()
-            .filter(|l| {
-                key_of(spec, l).is_some_and(|k| {
-                    targets
-                        .iter()
-                        .any(|t| k == t || universe.is_declared_subtype(k, t))
-                })
-            })
-            .collect();
-        let Some(satisfier) = candidates.first() else {
+            .find(|l| key_of(spec, l).is_some_and(|k| satisfies(index, k, targets)));
+        let Some(satisfier) = satisfier else {
             continue;
         };
         let Some(upstream) = spec.get(satisfier) else {
@@ -265,17 +268,14 @@ fn check_links(
             }
         }
     }
-    let _ = types;
 }
 
 fn check_ports(
-    spec: &InstallSpec,
     inst: &ResourceInstance,
     ty: &ResourceType,
     reverse_fed: &BTreeSet<(ResourceKey, String)>,
     errors: &mut Vec<ModelError>,
 ) {
-    let _ = spec;
     for (kind, values) in [
         (PortKind::Config, inst.config()),
         (PortKind::Input, inst.inputs()),
@@ -344,7 +344,7 @@ fn check_instance_acyclicity(spec: &InstallSpec, errors: &mut Vec<ModelError>) {
 /// separately by [`check_install_spec`]).
 pub fn topological_order(spec: &InstallSpec) -> Option<Vec<InstanceId>> {
     let ids: Vec<&InstanceId> = spec.iter().map(|i| i.id()).collect();
-    let index: BTreeMap<&InstanceId, usize> =
+    let index: HashMap<&InstanceId, usize> =
         ids.iter().enumerate().map(|(n, id)| (*id, n)).collect();
     let n = ids.len();
     let mut indegree = vec![0usize; n];
@@ -535,6 +535,38 @@ mod tests {
                 .any(|e| e.to_string().contains("peer dependency")),
             "{errs:?}"
         );
+    }
+
+    #[test]
+    fn failed_target_expansion_names_each_instance() {
+        // Two instances of one type whose env dependency has an empty
+        // frontier: the per-type expansion memo must not reuse the first
+        // instance's error for the second.
+        let mut u = universe();
+        u.insert(ResourceType::builder("Nothing").abstract_type().build())
+            .unwrap();
+        u.insert(
+            ResourceType::builder("Needy 1.0")
+                .inside(Dependency::on(DepKind::Inside, "Server", vec![]))
+                .dependency(Dependency::on(DepKind::Environment, "Nothing", vec![]))
+                .build(),
+        )
+        .unwrap();
+        let mut spec = good_spec();
+        for id in ["n1", "n2"] {
+            let mut n = ResourceInstance::new(id, "Needy 1.0");
+            n.set_inside_link("server");
+            spec.push(n).unwrap();
+        }
+        let errs = check_install_spec(&u, &spec).unwrap_err();
+        let referrers: Vec<&str> = errs
+            .iter()
+            .filter_map(|e| match e {
+                ModelError::EmptyFrontier { referenced_by, .. } => Some(referenced_by.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(referrers, ["instance `n1`", "instance `n2`"], "{errs:?}");
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //!   computation), again with the per-key error preserved;
 //! * **per-name version tables** — concrete versioned types grouped by
 //!   name, so range targets expand without scanning the universe.
+//! * **per-dependency expansions and reverse-fed inputs** — built on
+//!   first use for the static check ([`crate::check_install_spec_indexed`]),
+//!   so checking a spec expands no dependency twice.
 //!
 //! Every query answers in O(1) or O(answer); atomic hit counters
 //! ([`UniverseIndex::stats`]) feed the `universe.index.*` metrics that
@@ -28,6 +31,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use crate::deps::{DepTarget, Dependency};
 use crate::driver::DriverSpec;
@@ -43,6 +47,16 @@ struct Counters {
     frontier: AtomicU64,
     subtype: AtomicU64,
     expand: AtomicU64,
+}
+
+/// Per-dependency tables derived from the effective types
+/// ([`UniverseIndex::dependency_targets`],
+/// [`UniverseIndex::reverse_fed_inputs`]).
+#[derive(Debug)]
+struct Derived {
+    /// Per type handle, per effective dependency: its expansion.
+    dep_targets: Vec<Vec<Option<Vec<ResourceKey>>>>,
+    reverse_fed: BTreeSet<(ResourceKey, String)>,
 }
 
 /// A snapshot of the index's size and cumulative lookup counts
@@ -98,6 +112,8 @@ pub struct UniverseIndex {
     frontier: Vec<Result<Vec<ResourceKey>, ModelError>>,
     /// Name -> concrete versioned type handles, in key order.
     by_name: HashMap<String, Vec<u32>>,
+    /// Tables only the static check reads, built on its first call.
+    derived: OnceLock<Derived>,
     counters: Counters,
 }
 
@@ -219,6 +235,7 @@ impl UniverseIndex {
             preorder,
             frontier,
             by_name,
+            derived: OnceLock::new(),
             counters: Counters::default(),
         }
     }
@@ -416,6 +433,63 @@ impl UniverseIndex {
         Ok(out)
     }
 
+    /// The expanded targets of each of `key`'s effective dependencies,
+    /// in [`ResourceType::dependencies`] order: what
+    /// [`UniverseIndex::expand_targets`] returns, or `None` where it
+    /// fails. Empty for unknown keys and broken types. The table covers
+    /// every type and is built on the first call, then shared by every
+    /// later one.
+    pub(crate) fn dependency_targets(&self, key: &ResourceKey) -> &[Option<Vec<ResourceKey>>] {
+        match self.ids.get(key) {
+            Some(&i) => &self.derived().dep_targets[i as usize],
+            None => &[],
+        }
+    }
+
+    /// The `(type, input port)` pairs some dependent's reverse port
+    /// mapping feeds *against* the dependency direction (§3.4): such an
+    /// input legitimately has no value when the dependent is not
+    /// deployed. Built with [`UniverseIndex::dependency_targets`].
+    pub(crate) fn reverse_fed_inputs(&self) -> &BTreeSet<(ResourceKey, String)> {
+        &self.derived().reverse_fed
+    }
+
+    fn derived(&self) -> &Derived {
+        self.derived.get_or_init(|| {
+            let dep_targets: Vec<Vec<Option<Vec<ResourceKey>>>> = self
+                .effective
+                .iter()
+                .map(|ty| match ty {
+                    Ok(ty) => ty
+                        .dependencies()
+                        .map(|dep| self.expand_targets(dep, "").ok())
+                        .collect(),
+                    Err(_) => Vec::new(),
+                })
+                .collect();
+            let mut reverse_fed = BTreeSet::new();
+            for (ty, targets) in self.effective.iter().zip(&dep_targets) {
+                let Ok(ty) = ty else {
+                    continue;
+                };
+                for (dep, targets) in ty.dependencies().zip(targets) {
+                    let Some(targets) = targets else {
+                        continue;
+                    };
+                    for m in dep.reverse_mappings() {
+                        for t in targets {
+                            reverse_fed.insert((t.clone(), m.to_input().to_owned()));
+                        }
+                    }
+                }
+            }
+            Derived {
+                dep_targets,
+                reverse_fed,
+            }
+        })
+    }
+
     /// Snapshot of the index size and cumulative lookup counters.
     pub fn stats(&self) -> IndexStats {
         IndexStats {
@@ -497,7 +571,15 @@ mod tests {
                     "{key} <: {other}"
                 );
             }
+            let expanded: Vec<_> = u
+                .effective(key)
+                .unwrap()
+                .dependencies()
+                .map(|dep| u.expand_targets(dep, "").ok())
+                .collect();
+            assert_eq!(idx.dependency_targets(key), expanded, "{key}");
         }
+        assert!(idx.dependency_targets(&"Nope 1".into()).is_empty());
     }
 
     #[test]

@@ -245,6 +245,11 @@ impl InstallSpec {
     /// Returns `None` on a dangling link or an inside-cycle; for an
     /// instance with no container, returns its own id (it *is* a machine).
     pub fn machine_of(&self, id: &InstanceId) -> Option<InstanceId> {
+        self.machine_ref(id).cloned()
+    }
+
+    /// [`InstallSpec::machine_of`], borrowing the machine's id.
+    pub(crate) fn machine_ref(&self, id: &InstanceId) -> Option<&InstanceId> {
         let mut cur = self.get(id)?;
         let mut hops = 0;
         while let Some(parent) = cur.inside_link() {
@@ -254,7 +259,7 @@ impl InstallSpec {
                 return None; // cycle
             }
         }
-        Some(cur.id().clone())
+        Some(cur.id())
     }
 
     /// Direct *downstream* dependents of `id` (instances linking to it).

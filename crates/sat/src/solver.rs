@@ -4,13 +4,23 @@
 //! Features: two-watched-literal propagation, first-UIP conflict analysis,
 //! VSIDS variable activities with exponential decay, phase saving, Luby
 //! restarts, and activity-based learnt-clause database reduction.
+//!
+//! **Decision order.** Two choices differ from MiniSat's defaults: fresh
+//! variables start with phase `true`, and VSIDS breaks activity ties on
+//! the *lowest* variable index. Before the first conflict every activity
+//! is zero, so the solver decides variables in index order, true first.
+//! The configuration engine numbers variables in GraphGen discovery
+//! order, so a hyperedge's source is decided before its targets: each
+//! triggered `rsrc(v) → ⊕{targets}` takes its first alternative and its
+//! at-most-one clauses propagate the rest off, so configuration CNFs
+//! typically solve without a single conflict (see
+//! `docs/solver-modes.md`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::cmp::Reverse;
 
 use crate::cnf::Cnf;
 use crate::types::{Clause, LBool, Lit, Model, Var};
 use engage_util::obs::{Counter, Obs};
-use engage_util::rand::{Rng, SeedableRng, StdRng};
 
 /// Result of a satisfiability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -21,33 +31,10 @@ pub enum SatResult {
     Unsat,
 }
 
-/// How a worker initializes the saved phase of fresh variables — the
-/// polarity heuristic knob of the portfolio.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PhaseInit {
-    /// Branch false first (MiniSat's default; ours too).
-    #[default]
-    False,
-    /// Branch true first.
-    True,
-    /// Seeded random initial phase per variable.
-    Random,
-}
-
-/// Search-strategy knobs, used by [`crate::PortfolioSolver`] to
-/// diversify its workers. [`SolverConfig::default`] reproduces the
-/// solver's historical behavior exactly.
+/// Search-strategy knobs. [`SolverConfig::default`] is the configuration
+/// every production solve uses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SolverConfig {
-    /// Seed for phase randomization and random decisions.
-    pub seed: u64,
-    /// Luby restart unit (conflicts before the first restart).
-    pub restart_base: u64,
-    /// Initial saved phase of fresh variables.
-    pub phase_init: PhaseInit,
-    /// Percentage (0–100) of decisions that pick a random unassigned
-    /// variable instead of the top-activity one.
-    pub random_decision_pct: u8,
     /// Backjump distance above which a conflict backtracks
     /// *chronologically* (one level) instead of jumping to the asserting
     /// level, keeping the long trail suffix a far backjump would discard
@@ -60,38 +47,6 @@ pub struct SolverConfig {
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
-            seed: 0,
-            restart_base: 100,
-            phase_init: PhaseInit::False,
-            random_decision_pct: 0,
-            chrono_backtrack_gap: 100,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// The portfolio schedule: worker 0 is the default configuration
-    /// (so a 1-worker portfolio behaves exactly like a serial solve);
-    /// later workers vary the restart scale, polarity heuristic, and
-    /// decision randomization so their strengths complement each other.
-    pub fn diversified(worker: usize) -> Self {
-        if worker == 0 {
-            return SolverConfig::default();
-        }
-        let restart_scales = [100u64, 50, 300, 25, 150, 700, 60, 200];
-        SolverConfig {
-            seed: 0x9E3779B97F4A7C15u64.wrapping_mul(worker as u64 + 1),
-            restart_base: restart_scales[worker % restart_scales.len()],
-            phase_init: match worker % 3 {
-                0 => PhaseInit::Random,
-                1 => PhaseInit::True,
-                _ => PhaseInit::Random,
-            },
-            random_decision_pct: match worker % 4 {
-                1 => 0,
-                2 => 2,
-                _ => 5,
-            },
             chrono_backtrack_gap: 100,
         }
     }
@@ -189,7 +144,9 @@ pub struct Solver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
-    heap: std::collections::BinaryHeap<(u64, Var)>,
+    /// Max-heap on (activity bits, lowest index): ties between equal
+    /// activities pop the lowest variable first.
+    heap: std::collections::BinaryHeap<(u64, Reverse<Var>)>,
     phase: Vec<bool>,
     cla_inc: f64,
     unsat: bool,
@@ -201,7 +158,6 @@ pub struct Solver {
     /// of a scan over the whole clause database.
     num_learnts: usize,
     config: SolverConfig,
-    rng: StdRng,
 }
 
 impl Default for Solver {
@@ -212,6 +168,8 @@ impl Default for Solver {
 
 const VAR_DECAY: f64 = 0.95;
 const CLA_DECAY: f64 = 0.999;
+/// Luby restart unit (conflicts before the first restart).
+const RESTART_BASE: u64 = 100;
 
 impl Solver {
     /// Empty solver with the default configuration.
@@ -219,9 +177,8 @@ impl Solver {
         Self::with_config(SolverConfig::default())
     }
 
-    /// Empty solver with explicit search-strategy knobs. The config is
-    /// fixed for the solver's lifetime: [`PhaseInit`] applies to
-    /// variables allocated *after* construction.
+    /// Empty solver with explicit search-strategy knobs, fixed for the
+    /// solver's lifetime.
     pub fn with_config(config: SolverConfig) -> Self {
         Solver {
             clauses: Vec::new(),
@@ -242,7 +199,6 @@ impl Solver {
             live: LiveCounters::default(),
             seen: Vec::new(),
             num_learnts: 0,
-            rng: StdRng::seed_from_u64(config.seed),
             config,
         }
     }
@@ -282,23 +238,18 @@ impl Solver {
         s
     }
 
-    /// Allocates a fresh variable.
+    /// Allocates a fresh variable, with saved phase `true`.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.assigns.len() as u32);
-        let initial_phase = match self.config.phase_init {
-            PhaseInit::False => false,
-            PhaseInit::True => true,
-            PhaseInit::Random => self.rng.gen_bool(0.5),
-        };
         self.assigns.push(LBool::Undef);
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
-        self.phase.push(initial_phase);
+        self.phase.push(true);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.heap.push((0, v));
+        self.heap.push((0, Reverse(v)));
         v
     }
 
@@ -386,39 +337,21 @@ impl Solver {
     ///
     /// Panics if an assumption references an unallocated variable.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.search(assumptions, None)
-            .expect("search without a stop flag cannot be canceled")
-    }
-
-    /// Like [`Solver::solve_with_assumptions`], but aborts as soon as
-    /// `stop` is observed `true` (checked once per propagation round, so
-    /// per conflict and per decision). Returns `None` when canceled; the
-    /// solver is left at the root level and remains usable — learnt
-    /// clauses from the aborted search are kept.
-    ///
-    /// This is the worker interface of [`crate::PortfolioSolver`]: the
-    /// first worker to finish sets the shared flag and the rest exit
-    /// promptly without a result.
-    pub fn solve_cancellable(
-        &mut self,
-        assumptions: &[Lit],
-        stop: &AtomicBool,
-    ) -> Option<SatResult> {
-        self.search(assumptions, Some(stop))
+        self.search(assumptions)
     }
 
     /// The single entry point for every solve variant. All exits —
-    /// SAT, UNSAT, assumption conflict, cancellation — funnel through
-    /// the cleanup below, so no search can leave assumption levels,
-    /// stale queue positions, or seen-flags behind on the solver.
-    fn search(&mut self, assumptions: &[Lit], stop: Option<&AtomicBool>) -> Option<SatResult> {
+    /// SAT, UNSAT, assumption conflict — funnel through the cleanup
+    /// below, so no search can leave assumption levels, stale queue
+    /// positions, or seen-flags behind on the solver.
+    fn search(&mut self, assumptions: &[Lit]) -> SatResult {
         for a in assumptions {
             assert!(
                 a.var().index() < self.num_vars(),
                 "assumption {a} references an unallocated variable"
             );
         }
-        let result = self.search_inner(assumptions, stop);
+        let result = self.search_inner(assumptions);
         // Single-exit cleanup: return to the root level regardless of
         // which exit path fired, and check the invariants a reusable
         // solver must satisfy.
@@ -436,28 +369,19 @@ impl Solver {
         result
     }
 
-    fn search_inner(
-        &mut self,
-        assumptions: &[Lit],
-        stop: Option<&AtomicBool>,
-    ) -> Option<SatResult> {
+    fn search_inner(&mut self, assumptions: &[Lit]) -> SatResult {
         if self.unsat {
-            return Some(SatResult::Unsat);
+            return SatResult::Unsat;
         }
         if self.propagate().is_some() {
             self.unsat = true;
-            return Some(SatResult::Unsat);
+            return SatResult::Unsat;
         }
         let mut conflicts_since_restart: u64 = 0;
         let mut restart_idx: u64 = 0;
-        let mut restart_budget = self.config.restart_base * luby(restart_idx);
+        let mut restart_budget = RESTART_BASE * luby(restart_idx);
         let mut max_learnts = (self.clauses.len() / 3).max(1000);
         loop {
-            if let Some(flag) = stop {
-                if flag.load(Ordering::Relaxed) {
-                    return None;
-                }
-            }
             match self.propagate() {
                 Some(confl) => {
                     self.stats.conflicts += 1;
@@ -465,7 +389,7 @@ impl Solver {
                     conflicts_since_restart += 1;
                     if self.decision_level() == 0 {
                         self.unsat = true;
-                        return Some(SatResult::Unsat);
+                        return SatResult::Unsat;
                     }
                     let (learnt, back_level) = self.analyze(confl);
                     // Chronological backtracking (Nadel & Ryvchin, SAT'18):
@@ -496,7 +420,7 @@ impl Solver {
                         self.live.restarts.incr();
                         conflicts_since_restart = 0;
                         restart_idx += 1;
-                        restart_budget = self.config.restart_base * luby(restart_idx);
+                        restart_budget = RESTART_BASE * luby(restart_idx);
                         self.backtrack_to(0);
                         continue;
                     }
@@ -516,7 +440,7 @@ impl Solver {
                             LBool::False => {
                                 // Conflicts with the current (level ≤ now)
                                 // state: unsatisfiable under assumptions.
-                                return Some(SatResult::Unsat);
+                                return SatResult::Unsat;
                             }
                             LBool::Undef => {
                                 self.trail_lim.push(self.trail.len());
@@ -530,7 +454,7 @@ impl Solver {
                             let model = Model::new(
                                 self.assigns.iter().map(|&a| a == LBool::True).collect(),
                             );
-                            return Some(SatResult::Sat(model));
+                            return SatResult::Sat(model);
                         }
                         Some(v) => {
                             self.stats.decisions += 1;
@@ -756,7 +680,8 @@ impl Solver {
                 let v = l.var();
                 self.assigns[v.index()] = LBool::Undef;
                 self.reason[v.index()] = None;
-                self.heap.push((self.activity[v.index()].to_bits(), v));
+                self.heap
+                    .push((self.activity[v.index()].to_bits(), Reverse(v)));
             }
         }
         self.qhead = self.trail.len().min(self.qhead);
@@ -766,30 +691,14 @@ impl Solver {
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
-        // Occasional random decisions (portfolio diversification knob):
-        // the heap keeps its entry for the chosen variable, which later
-        // pops skip as assigned.
-        if self.config.random_decision_pct > 0
-            && self.num_vars() > 0
-            && self.rng.gen_range(0u32..100) < u32::from(self.config.random_decision_pct)
-        {
-            let n = self.num_vars();
-            let start = self.rng.gen_range(0..n);
-            for off in 0..n {
-                let v = Var(((start + off) % n) as u32);
-                if self.assigns[v.index()] == LBool::Undef {
-                    return Some(v);
-                }
-            }
-            return None;
-        }
-        while let Some((act_bits, v)) = self.heap.pop() {
+        while let Some((act_bits, Reverse(v))) = self.heap.pop() {
             if self.assigns[v.index()] != LBool::Undef {
                 continue;
             }
             // Stale entry?
             if act_bits != self.activity[v.index()].to_bits() {
-                self.heap.push((self.activity[v.index()].to_bits(), v));
+                self.heap
+                    .push((self.activity[v.index()].to_bits(), Reverse(v)));
                 // Guard against infinite loop: the pushed entry is fresh, so
                 // the next pop of `v` will match.
                 continue;
@@ -811,7 +720,8 @@ impl Solver {
             self.var_inc *= 1e-100;
         }
         if self.assigns[v.index()] == LBool::Undef {
-            self.heap.push((self.activity[v.index()].to_bits(), v));
+            self.heap
+                .push((self.activity[v.index()].to_bits(), Reverse(v)));
         }
     }
 
@@ -897,6 +807,7 @@ pub fn luby(mut i: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engage_util::rand::{Rng, SeedableRng, StdRng};
 
     fn lits(pairs: &[(u32, bool)]) -> Clause {
         pairs.iter().map(|&(v, s)| Lit::new(Var(v), s)).collect()
@@ -1127,11 +1038,9 @@ mod tests {
             let cs = random_3cnf(seed, 40, 170);
             let mut reference = Solver::with_config(SolverConfig {
                 chrono_backtrack_gap: u32::MAX,
-                ..SolverConfig::default()
             });
             let mut chrono = Solver::with_config(SolverConfig {
                 chrono_backtrack_gap: 0,
-                ..SolverConfig::default()
             });
             for s in [&mut reference, &mut chrono] {
                 for _ in 0..40 {

@@ -20,12 +20,8 @@ use engage_sim::{DownloadSource, FaultPlan, HostId, Sim};
 use crate::{Reference, Scenario};
 
 /// The solver modes every scenario is configured under.
-pub fn solver_modes() -> [SolverMode; 3] {
-    [
-        SolverMode::Serial,
-        SolverMode::Portfolio { workers: 4 },
-        SolverMode::Incremental,
-    ]
+pub fn solver_modes() -> [SolverMode; 2] {
+    [SolverMode::Serial, SolverMode::Incremental]
 }
 
 /// The fault environments every deployment cell runs under.

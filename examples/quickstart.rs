@@ -9,9 +9,8 @@
 //! Run with: `cargo run --example quickstart`
 
 use engage::Engage;
-use engage_config::{generate, graph_gen};
+use engage_config::{graph_gen, render_constraints};
 use engage_model::PortKind;
-use engage_sat::ExactlyOneEncoding;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let universe = engage_library::base_universe();
@@ -48,8 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!();
 
     println!("== §4 Boolean constraints ==");
-    let constraints = generate(&graph, ExactlyOneEncoding::Pairwise);
-    print!("{}", constraints.render(&graph));
+    print!("{}", render_constraints(&graph));
     println!();
 
     println!("== Full installation specification (computed by the engine) ==");

@@ -10,9 +10,10 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline
 
-# Solver-mode differential sweep at CI depth: 64 seeded instances across
-# serial, portfolio:{1,2,4,8}, and incremental must agree everywhere
-# (the default in-tree sweep uses 16 seeds; see docs/solver-modes.md).
+# Solver-mode differential sweep at CI depth: 64 seeded instances must
+# get the same verdict from an incremental session as from a fresh
+# serial solver (the default in-tree sweep uses 16 seeds; see
+# docs/solver-modes.md).
 ENGAGE_SAT_SWEEP_SEEDS=64 \
     cargo test -q --offline --release -p engage --test sat_portfolio_differential
 
@@ -86,17 +87,16 @@ ENGAGE_SCENARIO_SWEEP_SEEDS=16 \
 # depth.
 cargo test -q --offline --release -p engage --test graphgen_properties
 
-# Solver-mode smoke test: planning the OpenMRS example under a portfolio
-# race must succeed, report the race in --metrics, and produce the same
-# plan as the serial default.
-plan_portfolio=$(cargo run -q --release --offline --bin engage -- \
-    plan --spec examples/openmrs_figure2.json --solver portfolio:4 --metrics)
+# Solver-mode smoke test: planning the OpenMRS example through an
+# incremental session must succeed, report the session in --metrics,
+# and produce the same plan as the serial default.
+plan_incremental=$(cargo run -q --release --offline --bin engage -- \
+    plan --spec examples/openmrs_figure2.json --solver incremental --metrics)
 plan_serial=$(cargo run -q --release --offline --bin engage -- \
     plan --spec examples/openmrs_figure2.json)
-echo "$plan_portfolio" | grep -q 'counter sat.portfolio.races = 1'
-echo "$plan_portfolio" | grep -q 'counter sat.portfolio.workers = 4'
-if [ "$(echo "$plan_portfolio" | sed '/== metrics ==/,$d')" != "$plan_serial" ]; then
-    echo "error: portfolio:4 plan differs from the serial plan" >&2
+echo "$plan_incremental" | grep -q 'counter sat.incremental.rebuilds = 1'
+if [ "$(echo "$plan_incremental" | sed '/== metrics ==/,$d')" != "$plan_serial" ]; then
+    echo "error: incremental plan differs from the serial plan" >&2
     exit 1
 fi
 

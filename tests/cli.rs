@@ -253,7 +253,7 @@ fn solver_modes_plan_the_same_spec() {
     let path = spec.to_str().unwrap();
     let serial = engage_cmd(&["plan", "--library", "base", "--spec", path]);
     assert!(serial.status.success(), "{}", stderr(&serial));
-    for mode in ["serial", "portfolio:2", "portfolio", "incremental"] {
+    for mode in ["serial", "incremental"] {
         let out = engage_cmd(&[
             "plan",
             "--library",
@@ -272,7 +272,7 @@ fn solver_modes_plan_the_same_spec() {
 fn solver_mode_flag_rejects_bad_values() {
     let spec = write_temp("fig2i.json", FIGURE_2);
     let path = spec.to_str().unwrap();
-    for bad in ["turbo", "portfolio:0", "portfolio:x", ""] {
+    for bad in ["turbo", "portfolio", "portfolio:4", ""] {
         let out = engage_cmd(&["plan", "--spec", path, "--solver", bad]);
         assert!(!out.status.success(), "--solver {bad:?} should fail");
     }
@@ -291,7 +291,7 @@ fn deploy_accepts_solver_flag() {
         "--spec",
         spec.to_str().unwrap(),
         "--solver",
-        "portfolio:4",
+        "incremental",
     ]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert!(
@@ -511,26 +511,24 @@ fn plan_reports_a_diagnosable_conflict_identically_across_solver_modes() {
         diagnosis.contains("cannot be satisfied together"),
         "{diagnosis}"
     );
-    // Every solver mode reports the identical diagnosis.
-    for mode in ["portfolio:4", "incremental"] {
-        let out = engage_cmd(&[
-            "plan",
-            "--library",
-            "none",
-            ers.to_str().unwrap(),
-            "--spec",
-            spec.to_str().unwrap(),
-            "--solver",
-            mode,
-        ]);
-        assert!(
-            !out.status.success(),
-            "--solver {mode} planned the conflict"
-        );
-        assert_eq!(
-            stderr(&out),
-            diagnosis,
-            "--solver {mode} diagnosis diverged"
-        );
-    }
+    // The incremental mode reports the identical diagnosis.
+    let out = engage_cmd(&[
+        "plan",
+        "--library",
+        "none",
+        ers.to_str().unwrap(),
+        "--spec",
+        spec.to_str().unwrap(),
+        "--solver",
+        "incremental",
+    ]);
+    assert!(
+        !out.status.success(),
+        "--solver incremental planned the conflict"
+    );
+    assert_eq!(
+        stderr(&out),
+        diagnosis,
+        "--solver incremental diagnosis diverged"
+    );
 }

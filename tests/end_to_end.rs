@@ -378,6 +378,8 @@ fn config_engine_stats_are_populated() {
     let (vars, clauses) = outcome.cnf_size;
     assert!(vars >= outcome.spec.len() as u32);
     assert!(clauses > 0);
-    assert!(!outcome.constraints_rendered.is_empty());
+    let rendered = outcome.constraints_rendered();
+    assert!(rendered.contains("(from install spec)"), "{rendered}");
+    assert!(rendered.contains(" -> X{"), "{rendered}");
     assert!(!outcome.graph.render().is_empty());
 }

@@ -1,17 +1,13 @@
-//! Differential tests for the portfolio and incremental solving layers:
-//! every solver mode must return the same SAT/UNSAT verdict as the serial
-//! CDCL solver on a seeded random-CNF sweep, every SAT model must verify
-//! against its formula, and first-winner cancellation must actually stop
-//! the losing workers.
+//! Differential tests for the incremental solving layer: an
+//! [`IncrementalSession`] must return the same SAT/UNSAT verdict as a
+//! fresh serial CDCL solver on a seeded random-CNF sweep and under
+//! changing assumptions, and every SAT model must verify against its
+//! formula.
 //!
 //! The sweep size defaults to a quick 16 instances; CI sets
 //! `ENGAGE_SAT_SWEEP_SEEDS` (e.g. 64) for the full differential run.
 
-use std::time::{Duration, Instant};
-
-use engage_sat::{
-    verify_model, Cnf, IncrementalSession, Lit, PortfolioSolver, SatResult, Solver, Var,
-};
+use engage_sat::{verify_model, Cnf, IncrementalSession, Lit, SatResult, Solver, Var};
 use engage_util::rand::{Rng, SeedableRng, StdRng};
 
 /// Random k-CNF over the repo's seeded RNG — the same generator shape as
@@ -39,7 +35,7 @@ fn sweep_seeds() -> u64 {
 }
 
 #[test]
-fn portfolio_and_incremental_agree_with_serial_on_seeded_sweep() {
+fn incremental_agrees_with_serial_on_seeded_sweep() {
     let seeds = sweep_seeds();
     let mut disagreements = Vec::new();
     for seed in 0..seeds {
@@ -55,28 +51,6 @@ fn portfolio_and_incremental_agree_with_serial_on_seeded_sweep() {
             if let Err(e) = verify_model(&cnf, m) {
                 panic!("serial model invalid (seed {seed}): {e}");
             }
-        }
-
-        for workers in [1usize, 2, 4, 8] {
-            let outcome = PortfolioSolver::new(workers).solve(&cnf);
-            if outcome.result.is_sat() != serial.is_sat() {
-                disagreements.push(format!(
-                    "seed {seed}: portfolio:{workers} said {}, serial said {}",
-                    outcome.result.is_sat(),
-                    serial.is_sat()
-                ));
-                continue;
-            }
-            if let SatResult::Sat(m) = &outcome.result {
-                if let Err(e) = verify_model(&cnf, m) {
-                    panic!("portfolio:{workers} model invalid (seed {seed}): {e}");
-                }
-            }
-            assert_eq!(
-                outcome.finished_workers + outcome.canceled_workers,
-                workers,
-                "seed {seed}: portfolio:{workers} lost a worker report"
-            );
         }
 
         let mut session = IncrementalSession::new();
@@ -99,18 +73,6 @@ fn portfolio_and_incremental_agree_with_serial_on_seeded_sweep() {
         disagreements.len(),
         disagreements.join("\n")
     );
-}
-
-#[test]
-fn portfolio_verdict_is_deterministic_across_runs() {
-    // The winning worker and its stats may differ run to run; the verdict
-    // (and, for this formula, the fact of satisfiability) may not.
-    let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let cnf = seeded_cnf(&mut rng, 12, 46, 3);
-    let first = PortfolioSolver::new(4).solve(&cnf).result.is_sat();
-    for _ in 0..5 {
-        assert_eq!(PortfolioSolver::new(4).solve(&cnf).result.is_sat(), first);
-    }
 }
 
 #[test]
@@ -152,57 +114,4 @@ fn incremental_session_agrees_under_changing_assumptions() {
             assert!(inc.reused, "round {round} should reuse the session solver");
         }
     }
-}
-
-/// Pigeonhole formula: `holes + 1` pigeons into `holes` holes, provably
-/// UNSAT and exponentially hard for resolution — every worker needs real
-/// search time, so cancellation is observable.
-fn pigeonhole(holes: u32) -> Cnf {
-    let pigeons = holes + 1;
-    let mut cnf = Cnf::new();
-    let var = |p: u32, h: u32| Var(p * holes + h);
-    cnf.ensure_vars(pigeons * holes);
-    for p in 0..pigeons {
-        cnf.add_clause((0..holes).map(|h| var(p, h).positive()).collect());
-    }
-    for h in 0..holes {
-        for p1 in 0..pigeons {
-            for p2 in p1 + 1..pigeons {
-                cnf.add_clause(vec![var(p1, h).negative(), var(p2, h).negative()]);
-            }
-        }
-    }
-    cnf
-}
-
-#[test]
-fn first_winner_cancels_the_losing_workers() {
-    // A hard UNSAT instance: no worker finishes instantly, so exactly one
-    // worker reaches a verdict and the other seven must observe the stop
-    // flag mid-search and bail out with `None`.
-    let cnf = pigeonhole(7);
-
-    let t0 = Instant::now();
-    let serial = Solver::from_cnf(&cnf).solve();
-    let serial_wall = t0.elapsed();
-    assert_eq!(serial, SatResult::Unsat);
-
-    let t1 = Instant::now();
-    let outcome = PortfolioSolver::new(8).solve(&cnf);
-    let portfolio_wall = t1.elapsed();
-
-    assert_eq!(outcome.result, SatResult::Unsat);
-    assert_eq!(outcome.finished_workers, 1, "exactly one worker decides");
-    assert_eq!(outcome.canceled_workers, 7, "seven workers must cancel");
-
-    // Promptness, on a monotonic clock with no sleeps: worker 0 runs the
-    // default configuration, so the first finisher needs at most about one
-    // serial solve of work, and the eight workers time-share the machine
-    // until the flag flips. A worker that ignored the flag would run its
-    // own full (diversified, often slower) search to completion instead.
-    assert!(
-        portfolio_wall <= serial_wall * 10 + Duration::from_secs(2),
-        "portfolio took {portfolio_wall:?} vs serial {serial_wall:?}: \
-         losing workers did not exit promptly"
-    );
 }
